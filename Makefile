@@ -85,32 +85,29 @@ router-chaos:
 membership-chaos:
 	$(GO) test -race -v -run TestChaosMembershipChurn ./internal/chaos/
 
-# Differential correctness gate for intra-solve parallelism: sweeps
-# generator-driven problems across a worker-count × configuration ×
-# firing-cap matrix and asserts bit-identical fingerprints and identical
-# degrade decisions for every worker count >= 1 (and canonical equality
-# against the sequential solver when unbudgeted). Set PIP_SOLVE_WORKERS
-# to pin the parallel arm (CI runs {1,8}); unset sweeps {1,2,4,8}.
+# Differential correctness gate for the solver: sweeps generator-driven
+# problems across a configuration × firing-cap matrix, checks unbudgeted
+# solutions against the independent reference solver and capped ones for
+# exact-or-Ω-degraded, and solves every cell twice for identical
+# fingerprints and degrade decisions.
 differential:
 	$(GO) test -race -run Differential -v ./internal/core/differential/
 
-# Short bounded fuzz pass over the stratified-presaturation plan and its
-# differential oracle (plus the existing engine/frontend/IR targets'
-# seed corpora via plain `make test`). Go's fuzzer allows one fuzz
-# target per invocation, so each runs separately. Override FUZZTIME for
-# longer campaigns.
+# Short bounded fuzz pass over the solver-vs-reference oracle, engine
+# recovery, incremental edits and demand slices (the other targets' seed
+# corpora run via plain `make test`). Go's fuzzer allows one fuzz target
+# per invocation, so each runs separately. Override FUZZTIME for longer
+# campaigns.
 FUZZTIME ?= 20s
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzStrataDifferential -fuzztime=$(FUZZTIME) ./internal/core/
-	$(GO) test -run=^$$ -fuzz=FuzzStrataPlan -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run=^$$ -fuzz=FuzzSolveReference -fuzztime=$(FUZZTIME) ./internal/core/
 	$(GO) test -run=^$$ -fuzz=FuzzEngineRecovery -fuzztime=$(FUZZTIME) ./internal/engine/
 	$(GO) test -run=^$$ -fuzz=FuzzIncrementalEdit -fuzztime=$(FUZZTIME) ./internal/core/differential/
 	$(GO) test -run=^$$ -fuzz=FuzzDemandSlice -fuzztime=$(FUZZTIME) ./internal/core/differential/
 
 # Edit-script differential gate for incremental re-solving plus the
 # demand-vs-exhaustive oracle, under the race detector (the CI
-# incremental-differential job). Set PIP_SOLVE_WORKERS to pin the
-# parallel arm like the `differential` target.
+# incremental-differential job).
 incremental-differential:
 	$(GO) test -race -run 'Incremental|Demand|Summary' -v \
 		./internal/core/ ./internal/core/differential/ ./internal/core/incr/ ./internal/engine/

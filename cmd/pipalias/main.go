@@ -24,7 +24,6 @@ func main() {
 	budgetStr := flag.String("budget", "", "solve budget, e.g. 100ms, 5000f, or 100ms,5000f")
 	demandRoots := flag.String("demand", "", "comma-separated pointer names: solve only the constraint slice reachable from them (alias answers stay sound; unexplored pointers answer MayAlias)")
 	incrBase := flag.String("incremental", "", "path to a baseline version of the file: the baseline is solved first and the input re-solves incrementally from its checkpoint")
-	solveWorkers := flag.Int("solve-workers", 0, "intra-solve worker count for stratified parallel presaturation (0 = sequential solver)")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file of the solve (open in Perfetto or chrome://tracing)")
 	chaosSpec := flag.String("chaos", "", "arm deterministic fault injection from a spec, e.g. seed=42;engine.dispatch=error:0.01 (see the fault model section of DESIGN.md)")
 	flag.Parse()
@@ -46,7 +45,6 @@ func main() {
 		}
 		cfg.Budget = b
 	}
-	cfg.SolveWorkers = *solveWorkers
 	name, src := "<inline>", *inline
 	if src == "" {
 		if flag.NArg() != 1 {

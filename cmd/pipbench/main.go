@@ -37,7 +37,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "corpus seed")
 	reps := flag.Int("reps", 3, "timing repetitions per file/configuration (paper: 50)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "engine worker-pool size (0 = GOMAXPROCS)")
-	solveWorkers := flag.Int("solve-workers", 0, "intra-solve worker count for stratified parallel presaturation (0 = sequential solver)")
 	out := flag.String("out", "", "directory to write result files to")
 	run := flag.String("run", "all", "comma-separated subset: table3,fig9,table5,fig10,table6,headline,smoke,incremental,store")
 	budgetStr := flag.String("budget", "", "per-solve budget, e.g. 100ms, 5000f, or 100ms,5000f; files that exhaust it degrade soundly")
@@ -97,7 +96,6 @@ func main() {
 		corpus.Budget = b
 	}
 	corpus.CacheEntries = *cacheEntries
-	corpus.SolveWorkers = *solveWorkers
 	var tr *obs.Trace
 	if *tracePath != "" {
 		// The measurement loop emits a span per job plus per-solve phase

@@ -34,7 +34,6 @@ func main() {
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool size for printing/writing (0 = GOMAXPROCS)")
 	showStats := flag.Bool("stats", false, "solve every generated file under the default configuration and print engine stats with aggregated solver telemetry as JSON")
 	budgetStr := flag.String("budget", "", "per-solve budget for -stats, e.g. 100ms, 5000f, or 100ms,5000f")
-	solveWorkers := flag.Int("solve-workers", 0, "intra-solve worker count for stratified parallel presaturation (0 = sequential solver)")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file of the -stats solve phase (open in Perfetto or chrome://tracing)")
 	chaosSpec := flag.String("chaos", "", "arm deterministic fault injection from a spec, e.g. seed=42;engine.dispatch=error:0.01 (see the fault model section of DESIGN.md)")
 	flag.Parse()
@@ -87,7 +86,7 @@ func main() {
 		if *tracePath != "" {
 			tr = obs.New("pipgen", 0)
 		}
-		eng := engine.New(engine.Options{Workers: *workers, Budget: budget, Trace: tr, SolveWorkers: *solveWorkers})
+		eng := engine.New(engine.Options{Workers: *workers, Budget: budget, Trace: tr})
 		jobs := make([]engine.Job, len(files))
 		for i, f := range files {
 			jobs[i] = engine.Job{Module: f.Module, Config: core.DefaultConfig()}

@@ -28,7 +28,6 @@ func main() {
 	printAfter := flag.Bool("print", false, "print the optimized MIR")
 	configName := flag.String("config", pip.DefaultConfig().String(), "solver configuration")
 	budgetStr := flag.String("budget", "", "solve budget, e.g. 100ms, 5000f, or 100ms,5000f; a degraded (budget-exhausted) solution stays sound, so the optimizations remain valid, just weaker")
-	solveWorkers := flag.Int("solve-workers", 0, "intra-solve worker count for stratified parallel presaturation (0 = sequential solver)")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file of the Andersen solve (open in Perfetto or chrome://tracing)")
 	chaosSpec := flag.String("chaos", "", "arm deterministic fault injection from a spec, e.g. seed=42;engine.dispatch=error:0.01 (see the fault model section of DESIGN.md)")
 	flag.Parse()
@@ -50,7 +49,6 @@ func main() {
 		}
 		cfg.Budget = b
 	}
-	cfg.SolveWorkers = *solveWorkers
 	name, src := "<inline>", *inline
 	if src == "" {
 		if flag.NArg() != 1 {

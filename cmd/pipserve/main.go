@@ -16,8 +16,8 @@
 //	POST /v1/alias   {"c": "...", "pairs": [["p","q"]]}  alias verdicts
 //	POST /v1/resolve {"c": "...", "handle": "..."}       incremental sessions
 //	GET  /healthz    liveness; 503 while draining
-//	GET  /metrics    Prometheus text exposition (?format=json for the
-//	                 legacy JSON body; router mode serves its own families)
+//	GET  /metrics    Prometheus text exposition (router mode serves its
+//	                 own families)
 //	GET  /debug/trace?id=ID  a trace's spans as Chrome trace_event JSON;
 //	                 in -router mode, merged across the router and every
 //	                 backend that saw the trace ID
@@ -88,8 +88,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	budgetStr := fs.String("budget", "",
 		"default solve budget, e.g. 100ms, 5000f, or 100ms,5000f; exhausted budgets yield the sound Ω-degraded solution")
 	workers := fs.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
-	solveWorkers := fs.Int("solve-workers", 0,
-		"intra-solve worker count for stratified parallel presaturation (0 = sequential solver)")
 	cacheEntries := fs.Int("cache-entries", serve.DefaultCacheEntries,
 		"solution cache capacity (LRU eviction beyond it)")
 	concurrent := fs.Int("concurrent", serve.DefaultMaxConcurrent,
@@ -182,7 +180,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Config:         cfg,
 		HasConfig:      true,
 		Workers:        *workers,
-		SolveWorkers:   *solveWorkers,
 		CacheEntries:   *cacheEntries,
 		MaxConcurrent:  *concurrent,
 		MaxQueue:       *queue,
@@ -229,7 +226,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	s := serve.New(opts)
-	s.Engine().Publish("pipserve.engine")
 	if *storeDir != "" {
 		if err := s.OpenStore(*storeDir); err != nil {
 			return fmt.Errorf("store: %w", err)
@@ -668,25 +664,10 @@ func smokeCheck(base string) error {
 	if err := obs.CheckExposition(string(text)); err != nil {
 		return fmt.Errorf("/metrics: invalid exposition: %w", err)
 	}
-	if !strings.Contains(string(text), "pip_solve_latency_seconds_count 1") {
-		return fmt.Errorf("/metrics: solve latency histogram not populated:\n%s", text)
-	}
-
-	r, err = http.Get(base + "/metrics?format=json")
-	if err != nil {
-		return err
-	}
-	defer r.Body.Close()
-	var legacy struct {
-		Server struct {
-			Accepted int64 `json:"accepted"`
-		} `json:"server"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&legacy); err != nil {
-		return fmt.Errorf("/metrics?format=json: %w", err)
-	}
-	if legacy.Server.Accepted != 1 {
-		return fmt.Errorf("/metrics?format=json: accepted = %d, want 1", legacy.Server.Accepted)
+	for _, want := range []string{"pip_solve_latency_seconds_count 1", "pip_requests_accepted_total 1"} {
+		if !strings.Contains(string(text), want) {
+			return fmt.Errorf("/metrics: missing %q:\n%s", want, text)
+		}
 	}
 	return nil
 }

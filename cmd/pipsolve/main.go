@@ -31,7 +31,6 @@ func main() {
 	budgetStr := flag.String("budget", "", "solve budget, e.g. 100ms, 5000f, or 100ms,5000f; exhausting it yields the sound Ω-degraded solution")
 	demandRoots := flag.String("demand", "", "comma-separated pointer names (e.g. p,f.q): solve only the constraint slice reachable from them; everything else answers Ω")
 	incrBase := flag.String("incremental", "", "path to a baseline version of the input: the baseline is solved first and the input re-solves incrementally from its checkpoint")
-	solveWorkers := flag.Int("solve-workers", 0, "intra-solve worker count for stratified parallel presaturation (0 = sequential solver)")
 	showStats := flag.Bool("stats", false, "print solver telemetry (phase timers, rule firings, worklist peak)")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file of the solve (open in Perfetto or chrome://tracing)")
 	chaosSpec := flag.String("chaos", "", "arm deterministic fault injection from a spec, e.g. seed=42;engine.dispatch=error:0.01 (see the fault model section of DESIGN.md)")
@@ -54,7 +53,6 @@ func main() {
 		}
 		cfg.Budget = b
 	}
-	cfg.SolveWorkers = *solveWorkers
 
 	name := "<inline>"
 	src := *inline

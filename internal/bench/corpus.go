@@ -37,10 +37,6 @@ type Corpus struct {
 	// Budget bounds every solve the drivers run; files that exhaust it
 	// produce Ω-degraded (still sound) rows. The zero value means none.
 	Budget core.Budget
-	// SolveWorkers is the intra-solve worker count folded into every
-	// measured configuration (core.Config.SolveWorkers): 0 benches the
-	// legacy sequential solver, >= 1 benches stratified presaturation.
-	SolveWorkers int
 	// CacheEntries bounds the solution cache of caching drivers; <= 0
 	// means unbounded (fine for a bounded corpus, wrong for a daemon).
 	CacheEntries int
@@ -100,9 +96,6 @@ func (c *Corpus) EngineStats() engine.Stats {
 func (c *Corpus) Jobs(cfg core.Config, reps int) []engine.Job {
 	if cfg.Budget.IsZero() {
 		cfg.Budget = c.Budget
-	}
-	if cfg.SolveWorkers == 0 {
-		cfg.SolveWorkers = c.SolveWorkers
 	}
 	jobs := make([]engine.Job, len(c.Files))
 	for i, f := range c.Files {

@@ -34,17 +34,14 @@ type ConfigSnapshot struct {
 // numbers so snapshots from different runs are comparable (or visibly
 // not).
 type RunSnapshot struct {
-	Files     int     `json:"files"`
-	Instrs    int     `json:"instrs"`
-	Scale     float64 `json:"scale"`
-	SizeScale float64 `json:"size_scale"`
-	Seed      int64   `json:"seed"`
-	Reps      int     `json:"reps"`
-	Workers   int     `json:"workers"`
-	// SolveWorkers is the intra-solve worker count every measured config
-	// ran with (0 = legacy sequential solver).
-	SolveWorkers int `json:"solve_workers"`
-	GoMaxProcs   int `json:"gomaxprocs"`
+	Files      int     `json:"files"`
+	Instrs     int     `json:"instrs"`
+	Scale      float64 `json:"scale"`
+	SizeScale  float64 `json:"size_scale"`
+	Seed       int64   `json:"seed"`
+	Reps       int     `json:"reps"`
+	Workers    int     `json:"workers"`
+	GoMaxProcs int     `json:"gomaxprocs"`
 	// OracleWallUS is the EP Oracle's summed per-file minimum.
 	OracleWallUS float64          `json:"oracle_wall_us"`
 	Configs      []ConfigSnapshot `json:"configs"`
@@ -68,7 +65,6 @@ func Snapshot(c *Corpus, res *RuntimeResult, reps int) RunSnapshot {
 		Seed:         c.Opts.Seed,
 		Reps:         reps,
 		Workers:      c.Workers,
-		SolveWorkers: c.SolveWorkers,
 		GoMaxProcs:   runtime.GOMAXPROCS(0),
 		OracleWallUS: stats.Sum(res.Oracle),
 		Headline:     Headline(res),

@@ -48,8 +48,9 @@ func chaosSeed() int64 {
 }
 
 // chaosSeedParallel pins the run of the parallel-solve suite separately
-// from chaosSeed: the stratified schedule reaches the injection points in
-// a different order, so it deserves its own reproducible trajectory.
+// from chaosSeed: its problems and pool schedule reach the injection
+// points in a different order, so it deserves its own reproducible
+// trajectory.
 // Override with PIP_CHAOS_SEED2 to explore.
 func chaosSeedParallel() int64 {
 	if v := os.Getenv("PIP_CHAOS_SEED2"); v != "" {
@@ -60,7 +61,7 @@ func chaosSeedParallel() int64 {
 	return 1337
 }
 
-// chaosSpec arms all nine injection points, every one at >= 1%, with the
+// chaosSpec arms eight injection points, every one at >= 1%, with the
 // kinds spread so each failure mode is exercised: errors in the solver
 // core (which degrade to Ω), panics at dispatch and in the handler (which
 // the retry layer and recovery middleware absorb), cache corruption
@@ -70,7 +71,6 @@ func chaosSpec() string {
 	return fmt.Sprintf("seed=%d"+
 		";core.solve=error:0.02"+
 		";core.wave=error:0.05"+
-		";core.strata=error:0.05"+
 		";core.collapse=error:0.03"+
 		";engine.dispatch=panic:0.02"+
 		";engine.cache.insert=flip:0.5"+
@@ -92,10 +92,8 @@ func armChaos(t *testing.T) {
 
 // chaosConfigs spans the solver paths that carry injection points: the
 // default worklist (collapse via PIP unification and OVS), the wave
-// solver (per-wave hook plus collapseAllSCCs), the naive baseline
-// (core.solve only), and a stratified parallel worklist (core.strata on
-// top of the rest) so the fault machinery runs under SolveWorkers > 1
-// schedules too.
+// solver (per-wave hook plus collapseAllSCCs), and the naive baseline
+// (core.solve only).
 func chaosConfigs(t *testing.T) []core.Config {
 	t.Helper()
 	var cfgs []core.Config
@@ -106,9 +104,7 @@ func chaosConfigs(t *testing.T) []core.Config {
 		}
 		cfgs = append(cfgs, cfg)
 	}
-	par := cfgs[0]
-	par.SolveWorkers = 4
-	return append(cfgs, par)
+	return cfgs
 }
 
 // TestChaosEngineInvariants hammers the engine with every point armed and
@@ -368,13 +364,14 @@ func TestChaosWaveAndCollapsePoints(t *testing.T) {
 	}
 }
 
-// TestChaosParallelSolveInvariants arms the registry inside stratified
-// parallel solves: problems big enough to stratify, SolveWorkers 2 and 8,
-// all nine points armed under the second pinned seed. The three result
-// invariants must hold under the parallel schedule exactly as they do
-// sequentially — every job answered, every answer exact or soundly
-// Ω-degraded, and a core.strata fault always landing as a degradation,
-// never as an error or a torn solution.
+// TestChaosParallelSolveInvariants arms the registry while a four-worker
+// engine pool solves generated cyclic problems in parallel, with the
+// core and engine points armed under the second pinned seed and
+// core.collapse hit hard (the problems carry long cycles, so every solve
+// collapses many times). The three result invariants must hold under the
+// pool's schedule exactly as they do sequentially — every job answered,
+// every answer exact or soundly Ω-degraded, and a core.collapse fault
+// always landing as a degradation, never as an error or a torn solution.
 func TestChaosParallelSolveInvariants(t *testing.T) {
 	const nProblems = 4
 	const passes = 3
@@ -386,12 +383,10 @@ func TestChaosParallelSolveInvariants(t *testing.T) {
 		core.MustParseConfig("IP+WL(FIFO)+PIP"),
 		core.MustParseConfig("EP+OVS+WL(LRF)+OCD"),
 	}
-	cfgs[0].SolveWorkers = 2
-	cfgs[1].SolveWorkers = 8
 
-	// Ground truth before arming; worker counts cannot change it (that is
-	// the differential gate), so each config's fingerprint doubles as the
-	// exactness oracle for every schedule chaos produces.
+	// Ground truth before arming; a solve is deterministic, so each
+	// config's fingerprint doubles as the exactness oracle for every
+	// schedule chaos produces.
 	exact := map[string]string{}
 	for ci, cfg := range cfgs {
 		for gi, g := range gens {
@@ -401,8 +396,7 @@ func TestChaosParallelSolveInvariants(t *testing.T) {
 
 	spec := fmt.Sprintf("seed=%d"+
 		";core.solve=error:0.02"+
-		";core.strata=error:0.25"+
-		";core.collapse=error:0.03"+
+		";core.collapse=error:0.25"+
 		";engine.dispatch=panic:0.02"+
 		";engine.cache.insert=flip:0.5"+
 		";engine.cache.lookup=error:0.02",
@@ -454,9 +448,9 @@ func TestChaosParallelSolveInvariants(t *testing.T) {
 		t.Fatal("chaos drowned every job; the suite proved nothing — lower the rates")
 	}
 	if degraded == 0 {
-		t.Fatal("25% strata faults never degraded a solve; the parallel path is not being exercised")
+		t.Fatal("25% collapse faults never degraded a solve; the collapse path is not being exercised")
 	}
-	if reg.Hits(faults.CoreStrata) == 0 {
-		t.Fatal("core.strata point never reached")
+	if reg.Hits(faults.CoreCollapse) == 0 {
+		t.Fatal("core.collapse point never reached")
 	}
 }

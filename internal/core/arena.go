@@ -8,8 +8,8 @@ import (
 )
 
 // Arena owns the reusable scratch state of one solver: the union-find
-// forests, flag/visit tables, simple-edge and difference sets, complex
-// constraint tables, worklist storage, and the stratification scratch.
+// forest, flag/visit tables, simple-edge and difference sets, complex
+// constraint tables, and worklist storage.
 // Reusing an arena across solves removes the dominant per-solve allocation
 // churn (everything sized by variable count except the points-to sets
 // themselves, which escape into the returned Solution and are always
@@ -25,14 +25,9 @@ import (
 // solve.
 type Arena struct {
 	forest *uf.Forest
-	// strata holds the scratch union-find used by stratified
-	// presaturation to group SCC members without touching the solver's
-	// real forest (workers must never path-compress shared state).
-	strata *uf.Forest
 
 	repFlags  []Flags
 	fullVisit []bool
-	satVisit  []bool
 	ptrCompat []bool
 	impFunc   []bool
 	visitMark []uint32
@@ -51,17 +46,6 @@ type Arena struct {
 	// Worklist storage (FIFO/LIFO orders).
 	wlPending []bool
 	wlQueue   []VarID
-
-	// Stratification scratch: CSR adjacency and Tarjan state.
-	csrOff  []int32
-	csrNext []int32
-	csrDst  []VarID
-	compOf  []int32
-	tjIndex []int32
-	tjLow   []int32
-	tjOn    []bool
-	actMark []bool
-	tjStack []VarID
 }
 
 // NewArena returns an empty arena ready for SolveTracedIn. Engine workers
@@ -83,7 +67,6 @@ func (a *Arena) reset(n int) {
 
 	a.repFlags = growZero(a.repFlags, n)
 	a.fullVisit = growZero(a.fullVisit, n)
-	a.satVisit = growZero(a.satVisit, n)
 	a.ptrCompat = growZero(a.ptrCompat, n)
 	a.impFunc = growZero(a.impFunc, n)
 	a.visitMark = growZero(a.visitMark, n)
@@ -159,15 +142,4 @@ func (s *solver) recycleWorklist() {
 	case *lifoWL:
 		s.ar.wlPending, s.ar.wlQueue = w.pending, w.stack[:0]
 	}
-}
-
-// strataForest returns the scratch union-find for stratification, reset to
-// n singletons.
-func (a *Arena) strataForest(n int) *uf.Forest {
-	if a.strata == nil {
-		a.strata = uf.New(n)
-	} else {
-		a.strata.Reset(n)
-	}
-	return a.strata
 }

@@ -275,7 +275,6 @@ func (s *solver) kick(v VarID) {
 	}
 	r := s.find(v)
 	s.fullVisit[r] = true
-	s.satVisit[r] = false
 	s.enqueue(r)
 }
 

@@ -9,7 +9,7 @@ import (
 
 // resumableConfigs are the configuration cells the checkpoint tests sweep:
 // every Resumable combination axis that matters (representation ×
-// solver × order × difference propagation × parallel presaturation).
+// solver × order × difference propagation).
 func resumableConfigs() []Config {
 	return []Config{
 		{Rep: EP, Solver: Naive},
@@ -18,7 +18,6 @@ func resumableConfigs() []Config {
 		{Rep: IP, Solver: Worklist, Order: LIFO},
 		{Rep: IP, Solver: Worklist, Order: LRF, DP: true},
 		{Rep: EP, Solver: Worklist, Order: Topo, DP: true},
-		{Rep: IP, Solver: Worklist, Order: FIFO, SolveWorkers: 4},
 	}
 }
 

@@ -105,17 +105,6 @@ type Config struct {
 	// configuration's canonical name (and therefore of engine cache
 	// keys): budgeted and unbudgeted solves never share cached solutions.
 	Budget Budget
-
-	// SolveWorkers enables intra-solve parallelism: 0 selects the legacy
-	// fully sequential path, any value ≥ 1 runs stratified presaturation
-	// (SCC-condensed topological strata, difference-propagation merges at
-	// stratum boundaries) with that many propagation workers. The strata
-	// are data-independent within a level, so every worker count ≥ 1
-	// produces a bit-identical Solution; String therefore renders all of
-	// them as a single "PAR" marker and engine cache keys are shared
-	// across worker counts. The differential harness
-	// (internal/core/differential) is the gate for this property.
-	SolveWorkers int
 }
 
 // pipRule reports whether PIP addition n (1-4) is enabled.
@@ -167,9 +156,6 @@ func (c Config) Validate() error {
 	}
 	if c.Solver == Worklist && c.Order > Topo {
 		return fmt.Errorf("unknown iteration order %d", c.Order)
-	}
-	if c.SolveWorkers < 0 {
-		return fmt.Errorf("SolveWorkers must be >= 0, got %d", c.SolveWorkers)
 	}
 	if err := c.Budget.Validate(); err != nil {
 		return err
@@ -223,12 +209,6 @@ func (c Config) String() string {
 	}
 	if !c.Budget.IsZero() {
 		parts = append(parts, "B("+c.Budget.String()+")")
-	}
-	if c.SolveWorkers > 0 {
-		// One marker for every worker count ≥ 1: solutions are
-		// bit-identical across counts, so cache keys deliberately
-		// coalesce. ParseConfig reconstructs the canonical count 1.
-		parts = append(parts, "PAR")
 	}
 	return strings.Join(parts, "+")
 }
@@ -292,8 +272,6 @@ func ParseConfig(s string) (Config, error) {
 				return c, err
 			}
 			c.Budget = b
-		case part == "PAR":
-			c.SolveWorkers = 1
 		case part == "OCD":
 			c.OCD = true
 		case part == "HCD":

@@ -337,6 +337,10 @@ func TestConfigStringRoundTrip(t *testing.T) {
 	if _, err := ParseConfig("IP"); err == nil {
 		t.Fatal("missing solver accepted")
 	}
+	// PAR names no configuration component.
+	if _, err := ParseConfig("IP+WL(FIFO)+PIP+PAR"); err == nil {
+		t.Fatal("removed PAR marker accepted")
+	}
 }
 
 func TestSolutionQueries(t *testing.T) {

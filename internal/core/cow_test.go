@@ -112,14 +112,13 @@ func TestCopyOnWriteUnifyTransfersOwnership(t *testing.T) {
 }
 
 // TestResumeSharesCheckpointState is the end-to-end pin for copy-on-write
-// restores: one checkpoint seeds several resumes (including with
-// stratified presaturation workers, whose component merges also mutate
-// restored sets), each bit-identical to a from-scratch solve, while the
-// checkpoint and the solutions already handed out stay intact.
+// restores: one checkpoint seeds several resumes, each bit-identical to a
+// from-scratch solve, while the checkpoint and the solutions already
+// handed out stay intact.
 func TestResumeSharesCheckpointState(t *testing.T) {
 	for _, cfg := range []Config{
 		{Rep: IP, Solver: Worklist, Order: FIFO, DP: true},
-		{Rep: IP, Solver: Worklist, Order: FIFO, SolveWorkers: 4},
+		{Rep: IP, Solver: Worklist, Order: FIFO},
 	} {
 		base := genCheckpointProblem(11, 96)
 		sol0, ck, err := SolveCheckpointed(base, cfg, obs.Track{}, nil)

@@ -13,33 +13,24 @@ type Options struct {
 	Seeds []int64
 	// Gen shapes every generated problem.
 	Gen GenOptions
-	// Configs are the solver configurations to sweep. SolveWorkers and
-	// Budget on the entries are ignored: the sweep owns both axes.
-	// Defaults to RepresentativeConfigs().
+	// Configs are the solver configurations to sweep. Budget on the
+	// entries is ignored: the sweep owns that axis. Defaults to
+	// RepresentativeConfigs().
 	Configs []core.Config
-	// Workers are the solve-worker counts compared for bit identity.
-	// Every count must be >= 1; the count 1 is the reference and is added
-	// if absent. Defaults to 1, 2, 4, 8.
-	Workers []int
-	// Firings are the deterministic firing caps swept in addition to the
+	// Firings are the deterministic firing caps swept; 0 is the
 	// unbudgeted solve. Wall-clock deadlines are deliberately not swept:
 	// only firing caps degrade deterministically (see core.Budget), so
-	// only they can carry a bit-identity obligation.
+	// only they can carry a repeatability obligation.
 	Firings []int64
-	// Legacy disables the Canonical cross-check against SolveWorkers=0
-	// when false is wanted; by default the check runs for every
-	// unbudgeted cell.
-	SkipLegacy bool
 }
 
 // DefaultOptions is the configuration used by the gate tests: four seeds,
-// the representative config set, the full worker ladder, and two firing
-// caps bracketing the degradation point.
+// the representative config set, and two firing caps bracketing the
+// degradation point.
 func DefaultOptions() Options {
 	return Options{
 		Seeds:   []int64{1, 2, 3, 4},
 		Gen:     DefaultGen(),
-		Workers: []int{1, 2, 4, 8},
 		Firings: []int64{0, 200, 5000},
 	}
 }
@@ -65,18 +56,17 @@ func RepresentativeConfigs() []core.Config {
 	}
 }
 
-// Mismatch is one divergence between two solve paths on the same cell.
+// Mismatch is one cell whose solve broke an obligation.
 type Mismatch struct {
 	Seed    int64
 	Config  string
 	Firings int64
-	Path    string
 	Detail  string
 }
 
 func (m Mismatch) String() string {
-	return fmt.Sprintf("seed %d, config %q, firings %d, path %s: %s",
-		m.Seed, m.Config, m.Firings, m.Path, m.Detail)
+	return fmt.Sprintf("seed %d, config %q, firings %d: %s",
+		m.Seed, m.Config, m.Firings, m.Detail)
 }
 
 // Report is the outcome of a sweep.
@@ -87,7 +77,7 @@ type Report struct {
 	Mismatches []Mismatch
 }
 
-// OK reports whether every cell was solution-identical across all paths.
+// OK reports whether every cell met its obligations.
 func (r *Report) OK() bool { return len(r.Mismatches) == 0 }
 
 func (r *Report) String() string {
@@ -95,7 +85,7 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "differential: %d problems, %d cells, %d solves\n",
 		r.Problems, r.Cells, r.Solves)
 	if r.OK() {
-		b.WriteString("all paths solution-identical\n")
+		b.WriteString("every cell matches the reference\n")
 		return b.String()
 	}
 	fmt.Fprintf(&b, "%d mismatches:\n", len(r.Mismatches))
@@ -117,8 +107,7 @@ type outcome struct {
 	err         string
 }
 
-func solveCell(p *core.Problem, cfg core.Config, workers int, firings int64) outcome {
-	cfg.SolveWorkers = workers
+func solveCell(p *core.Problem, cfg core.Config, firings int64) outcome {
 	cfg.Budget = core.Budget{Firings: firings}
 	sol, err := core.Solve(p, cfg)
 	if err != nil {
@@ -131,23 +120,16 @@ func solveCell(p *core.Problem, cfg core.Config, workers int, firings int64) out
 	}
 }
 
-// Sweep runs the full matrix. For every (seed, config, firing-cap) cell it
-// solves once per worker count and demands:
+// Sweep runs the full matrix. Every (seed, config, firing-cap) cell is
+// solved twice and checked against core.ReferenceSolve, the independent
+// map-based fixed point that shares no code with the solver:
 //
-//   - bit-identical Solution.Fingerprint across every worker count >= 1
-//     (identical explicit sets, flags, escaped set, AND identical cycle
-//     representatives — the parallel strata must not perturb unification
-//     history), and
-//   - identical Degraded outcomes (a firing cap either degrades at every
-//     worker count or at none: the presaturation phase charges its firings
-//     from a precomputed plan, never from scheduling), and
-//   - for unbudgeted cells, Solution.Canonical equality against the legacy
-//     SolveWorkers=0 path, proving the stratified solver computes the same
-//     fixed point the paper's sequential algorithm does. Fingerprint
-//     identity is deliberately NOT required here: presaturation changes
-//     visit order, and with PIP's non-monotone rules the chosen cycle
-//     representatives are schedule-dependent even though the solution is
-//     not (the same tolerance the paper needs for its 304-config matrix).
+//   - an unbudgeted cell's Solution.Canonical must equal the reference;
+//   - a capped cell must be either exact (not Degraded, Canonical equal to
+//     the reference) or the Ω-degraded solution (core.DegradedSolution);
+//   - the two solves must agree on Solution.Fingerprint (explicit sets,
+//     flags, escaped set and cycle representatives) and on Degraded: a
+//     firing cap degrades deterministically or not at all.
 func Sweep(opt Options) *Report {
 	if len(opt.Seeds) == 0 {
 		opt.Seeds = DefaultOptions().Seeds
@@ -155,7 +137,6 @@ func Sweep(opt Options) *Report {
 	if len(opt.Configs) == 0 {
 		opt.Configs = RepresentativeConfigs()
 	}
-	workers := normalizeWorkers(opt.Workers)
 	firings := opt.Firings
 	if len(firings) == 0 {
 		firings = []int64{0}
@@ -164,64 +145,39 @@ func Sweep(opt Options) *Report {
 	rep := &Report{Problems: len(opt.Seeds)}
 	for _, seed := range opt.Seeds {
 		p := Generate(seed, opt.Gen)
+		want := core.ReferenceSolve(p)
+		degraded := core.DegradedSolution(p).Canonical()
 		for _, cfg := range opt.Configs {
 			for _, fcap := range firings {
 				rep.Cells++
-				ref := solveCell(p, cfg, 1, fcap)
-				rep.Solves++
-				cell := func(path, detail string) {
+				cell := func(detail string) {
 					rep.Mismatches = append(rep.Mismatches, Mismatch{
-						Seed: seed, Config: cfg.String(), Firings: fcap,
-						Path: path, Detail: detail,
+						Seed: seed, Config: cfg.String(), Firings: fcap, Detail: detail,
 					})
 				}
-				if ref.err != "" {
-					cell("workers=1", "reference solve failed: "+ref.err)
-					continue
-				}
-				for _, w := range workers {
-					if w == 1 {
-						continue
-					}
-					got := solveCell(p, cfg, w, fcap)
-					rep.Solves++
-					path := fmt.Sprintf("workers=%d", w)
-					switch {
-					case got.err != "":
-						cell(path, "solve failed: "+got.err)
-					case got.degraded != ref.degraded:
-						cell(path, fmt.Sprintf("degraded %v, reference %v", got.degraded, ref.degraded))
-					case got.fingerprint != ref.fingerprint:
-						cell(path, firstDiff(ref.fingerprint, got.fingerprint))
-					}
-				}
-				if fcap == 0 && !opt.SkipLegacy {
-					legacy := solveCell(p, cfg, 0, 0)
-					rep.Solves++
-					switch {
-					case legacy.err != "":
-						cell("legacy", "solve failed: "+legacy.err)
-					case legacy.canonical != ref.canonical:
-						cell("legacy", firstDiff(legacy.canonical, ref.canonical))
-					}
+				got := solveCell(p, cfg, fcap)
+				again := solveCell(p, cfg, fcap)
+				rep.Solves += 2
+				switch {
+				case got.err != "":
+					cell("solve failed: " + got.err)
+				case again.err != "":
+					cell("repeated solve failed: " + again.err)
+				case again.degraded != got.degraded:
+					cell(fmt.Sprintf("repeated solve degraded %v, first %v", again.degraded, got.degraded))
+				case again.fingerprint != got.fingerprint:
+					cell("repeated solve: " + firstDiff(got.fingerprint, again.fingerprint))
+				case got.degraded && fcap == 0:
+					cell("unbudgeted solve degraded")
+				case got.degraded && got.canonical != degraded:
+					cell("degraded solve is not the Ω-degraded solution: " + firstDiff(degraded, got.canonical))
+				case !got.degraded && got.canonical != want:
+					cell(firstDiff(want, got.canonical))
 				}
 			}
 		}
 	}
 	return rep
-}
-
-func normalizeWorkers(ws []int) []int {
-	if len(ws) == 0 {
-		return DefaultOptions().Workers
-	}
-	out := []int{1}
-	for _, w := range ws {
-		if w > 1 {
-			out = append(out, w)
-		}
-	}
-	return out
 }
 
 // firstDiff pinpoints the first differing line of two multi-line dumps.

@@ -1,8 +1,6 @@
 package differential
 
 import (
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -10,26 +8,12 @@ import (
 	"github.com/pip-analysis/pip/internal/obs"
 )
 
-// workerLadder honours the CI matrix: PIP_SOLVE_WORKERS pins the top rung
-// (the reference rung 1 is always included), so the same test binary runs
-// the {1} and {1,8} legs of the workflow without rebuilding.
-func workerLadder() []int {
-	if v := os.Getenv("PIP_SOLVE_WORKERS"); v != "" {
-		if w, err := strconv.Atoi(v); err == nil && w >= 1 {
-			return []int{1, w}
-		}
-	}
-	return []int{1, 2, 4, 8}
-}
-
 // TestDifferentialSweep is the gate: generator-driven problems across the
-// representative configuration set, the full worker ladder, and the firing
-// caps, asserting bit-identical Fingerprints, identical Degraded outcomes,
-// and Canonical agreement with the legacy sequential solver.
+// representative configuration set and the firing caps, asserting
+// agreement with the reference solver, exact-or-Ω-degraded budget aborts,
+// and repeatable Fingerprints and Degraded outcomes.
 func TestDifferentialSweep(t *testing.T) {
-	opt := DefaultOptions()
-	opt.Workers = workerLadder()
-	rep := Sweep(opt)
+	rep := Sweep(DefaultOptions())
 	t.Logf("%s", rep)
 	if !rep.OK() {
 		t.Fatalf("differential sweep failed:\n%s", rep)
@@ -40,9 +24,9 @@ func TestDifferentialSweep(t *testing.T) {
 }
 
 // TestDifferentialBudgetBoundary walks firing caps through the region where
-// solves flip from degraded to exact, where a scheduling-dependent budget
-// charge would be most visible. Every cap must flip identically at every
-// worker count.
+// solves flip from degraded to exact, where a schedule-dependent budget
+// charge would be most visible. Every cap must degrade repeatably, and to
+// the Ω-degraded solution when it does.
 func TestDifferentialBudgetBoundary(t *testing.T) {
 	caps := []int64{1, 7, 33, 100, 316, 1000, 3163, 10000, 31630, 100000}
 	opt := Options{
@@ -54,9 +38,7 @@ func TestDifferentialBudgetBoundary(t *testing.T) {
 			{Rep: core.EP, Solver: core.Wave},
 			{Rep: core.IP, OVS: true, Solver: core.Naive},
 		},
-		Workers:    workerLadder(),
-		Firings:    caps,
-		SkipLegacy: true,
+		Firings: caps,
 	}
 	rep := Sweep(opt)
 	t.Logf("%s", rep)
@@ -66,7 +48,7 @@ func TestDifferentialBudgetBoundary(t *testing.T) {
 }
 
 // TestDifferentialDense pushes a denser, more cyclic problem through the
-// sweep so stratification sees big SCCs and deep level structure.
+// sweep so cycle detection sees big SCCs.
 func TestDifferentialDense(t *testing.T) {
 	if testing.Short() {
 		t.Skip("dense sweep skipped in -short mode")
@@ -74,7 +56,6 @@ func TestDifferentialDense(t *testing.T) {
 	opt := Options{
 		Seeds:   []int64{42},
 		Gen:     GenOptions{Vars: 512, Density: 2.0, Cyclic: true},
-		Workers: workerLadder(),
 		Firings: []int64{0, 20000},
 	}
 	rep := Sweep(opt)
@@ -90,11 +71,11 @@ func TestDifferentialDense(t *testing.T) {
 func TestDifferentialGenDeterminism(t *testing.T) {
 	a := Generate(3, DefaultGen())
 	b := Generate(3, DefaultGen())
-	sa, err := core.Solve(a, core.Config{Rep: core.IP, Solver: core.Worklist, SolveWorkers: 1})
+	sa, err := core.Solve(a, core.Config{Rep: core.IP, Solver: core.Worklist})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := core.Solve(b, core.Config{Rep: core.IP, Solver: core.Worklist, SolveWorkers: 1})
+	sb, err := core.Solve(b, core.Config{Rep: core.IP, Solver: core.Worklist})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +83,7 @@ func TestDifferentialGenDeterminism(t *testing.T) {
 		t.Fatal("same seed generated different problems")
 	}
 	c := Generate(4, DefaultGen())
-	sc, err := core.Solve(c, core.Config{Rep: core.IP, Solver: core.Worklist, SolveWorkers: 1})
+	sc, err := core.Solve(c, core.Config{Rep: core.IP, Solver: core.Worklist})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,35 +92,16 @@ func TestDifferentialGenDeterminism(t *testing.T) {
 	}
 }
 
-// TestDifferentialStrataEngaged guards the gate itself: a standard
-// generated problem at SolveWorkers>=1 must actually take the stratified
-// presaturation path. Without this, a regression that silently disables
-// presaturation would leave the whole sweep vacuously green.
-func TestDifferentialStrataEngaged(t *testing.T) {
-	p := Generate(1, DefaultGen())
-	sol, err := core.Solve(p, core.Config{Rep: core.IP, Solver: core.Worklist, SolveWorkers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sol.Telemetry.Strata == 0 {
-		t.Fatal("stratified presaturation never ran on a sweep-shaped problem")
-	}
-	if sol.Telemetry.Presaturate == 0 {
-		t.Fatal("presaturation ran but recorded no time")
-	}
-}
-
-// TestDifferentialRaceTelemetry is the race gate for the per-worker
-// telemetry shards and trace lanes: a sizable cyclic problem solved at
-// SolveWorkers=8 with tracing enabled, concurrently from several
-// goroutines (each with its own arena, engine-style). Run under -race this
-// fails if stratum workers share a counter, a trace buffer, or arena
-// scratch without synchronization.
+// TestDifferentialRaceTelemetry is the race gate for telemetry and trace
+// lanes: a sizable cyclic problem solved with tracing enabled,
+// concurrently from several goroutines (each with its own arena,
+// engine-style). Run under -race this fails if concurrent solves share a
+// counter, a trace buffer, or arena scratch without synchronization.
 func TestDifferentialRaceTelemetry(t *testing.T) {
 	p := Generate(9, GenOptions{Vars: 384, Density: 1.5, Cyclic: true})
 	cfg := core.Config{
 		Rep: core.IP, Solver: core.Worklist, Order: core.LRF,
-		OCD: true, DP: true, PIP: true, SolveWorkers: 8,
+		OCD: true, DP: true, PIP: true,
 	}
 	ref, err := core.Solve(p, cfg)
 	if err != nil {

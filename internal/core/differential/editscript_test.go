@@ -7,22 +7,11 @@ import (
 	"github.com/pip-analysis/pip/internal/core"
 )
 
-// editWorkers returns the solve-worker counts the edit-script gate sweeps.
-// The CI matrix pins the top rung via PIP_SOLVE_WORKERS (see workerLadder);
-// locally the gate runs sequential and one parallel rung.
-func editWorkers() []int {
-	ws := workerLadder()
-	if len(ws) > 2 {
-		ws = []int{ws[0], ws[len(ws)-1]}
-	}
-	return ws
-}
-
 // TestIncrementalEditScripts is the incremental gate: seeded random edit
-// scripts across the representative configuration set and the worker
-// ladder. After every edit the incremental solution must be bit-identical
-// to a from-scratch solve — on resumable configurations via the resume
-// path, everywhere else via the sound fallback.
+// scripts across the representative configuration set. After every edit
+// the incremental solution must be bit-identical to a from-scratch solve
+// — on resumable configurations via the resume path, everywhere else via
+// the sound fallback.
 func TestIncrementalEditScripts(t *testing.T) {
 	const edits = 8
 	for _, cfg := range RepresentativeConfigs() {
@@ -34,22 +23,19 @@ func TestIncrementalEditScripts(t *testing.T) {
 		}
 		cfg := cfg
 		t.Run(cfg.String(), func(t *testing.T) {
-			for _, w := range editWorkers() {
-				cfg.SolveWorkers = w
-				for seed := int64(1); seed <= 2; seed++ {
-					base := Generate(seed, DefaultGen())
-					rng := rand.New(rand.NewSource(seed * 7919))
-					script := make([]byte, 3*edits)
-					rng.Read(script)
-					rep, err := CheckEditScript(base, script, cfg)
-					if err != nil {
-						t.Fatalf("seed %d workers %d: %v", seed, w, err)
-					}
-					if rep.Edits == 0 {
-						t.Fatalf("seed %d: script applied no edits", seed)
-					}
-					t.Logf("seed %d workers %d: %s", seed, w, rep)
+			for seed := int64(1); seed <= 2; seed++ {
+				base := Generate(seed, DefaultGen())
+				rng := rand.New(rand.NewSource(seed * 7919))
+				script := make([]byte, 3*edits)
+				rng.Read(script)
+				rep, err := CheckEditScript(base, script, cfg)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
 				}
+				if rep.Edits == 0 {
+					t.Fatalf("seed %d: script applied no edits", seed)
+				}
+				t.Logf("seed %d: %s", seed, rep)
 			}
 		})
 	}

@@ -1,14 +1,13 @@
-// Package differential is the correctness gate for intra-solve
-// parallelism. It sweeps generator-driven constraint problems across the
-// solver configuration space and the solve-worker axis, demanding
-// bit-identical Solutions (Solution.Fingerprint) and identical Degraded
-// outcomes for every worker count >= 1, and representative-independent
-// equality (Solution.Canonical) against the legacy sequential path.
+// Package differential is the solver's correctness gate. It sweeps
+// generator-driven constraint problems across the solver configuration
+// space and a set of firing caps, checking every solution against
+// core.ReferenceSolve (an independent fixed point that shares no code with
+// the solver), every budget abort against the Ω-degraded solution, and
+// every cell for repeatability (identical Solution.Fingerprint and
+// Degraded outcome across two solves).
 //
-// The harness mirrors internal/engine's job-level differential oracle one
-// layer down: the engine harness proves that scheduling jobs across a pool
-// never changes any answer; this package proves that scheduling strata
-// *within one solve* never changes the answer either.
+// The package also holds the edit-script gate for incremental re-solving
+// (editscript.go).
 package differential
 
 import (
@@ -19,9 +18,7 @@ import (
 
 // GenOptions shapes a generated problem.
 type GenOptions struct {
-	// Vars is the variable count. It should comfortably exceed the
-	// solver's stratification threshold (64 variables) so the parallel
-	// presaturation path actually runs; Generate enforces a floor of 96.
+	// Vars is the variable count; Generate enforces a floor of 96.
 	Vars int
 	// Density multiplies the constraint counts (1.0 = one simple edge and
 	// one base fact per variable, plus a smaller complement of loads,
@@ -32,8 +29,8 @@ type GenOptions struct {
 	Cyclic bool
 }
 
-// DefaultGen is the sweep's standard shape: a problem large enough to
-// stratify, dense enough to fire every inference rule, and cyclic.
+// DefaultGen is the sweep's standard shape: a problem dense enough to
+// fire every inference rule, and cyclic.
 func DefaultGen() GenOptions { return GenOptions{Vars: 128, Density: 1.0, Cyclic: true} }
 
 // Generate builds a deterministic pseudo-random constraint problem. The
@@ -116,8 +113,7 @@ func Generate(seed int64, opt GenOptions) *core.Problem {
 	if opt.Cyclic {
 		// Two long simple-edge cycles threaded through random variables,
 		// plus explicit self-loops: both collapse paths (offline SCC and
-		// online OCD/HCD/LCD) and the stratifier's single-node strata get
-		// exercised.
+		// online OCD/HCD/LCD) get exercised.
 		for c := 0; c < 2; c++ {
 			ring := make([]core.VarID, 0, n/8)
 			for i := 0; i < n/8; i++ {

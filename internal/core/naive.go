@@ -7,10 +7,6 @@ package core
 func (s *solver) solveNaive() {
 	for {
 		s.progress = false
-		// Stratified presaturation (SolveWorkers ≥ 1): each pass first
-		// saturates the TRANS closure of the current graph in parallel,
-		// so the per-node visits below only drive complex constraints.
-		s.presaturate()
 		for v := 0; v < s.n; v++ {
 			if s.budgetExhausted() {
 				return

@@ -71,14 +71,6 @@ type solver struct {
 	// instead of the difference set (used when flags or topology change).
 	fullVisit []bool
 
-	// satVisit[r] records that r's Sol_e and points-external flag are
-	// unchanged since the last stratified presaturation pass, so every
-	// simple-edge successor already holds everything r could propagate;
-	// visit skips the TRANS propagation for such nodes. Any mutation of
-	// r's set or flags clears the mark. Always all-false on the
-	// sequential path (SolveWorkers == 0).
-	satVisit []bool
-
 	ptrCompat []bool
 
 	// ar is the scratch arena backing this solver's tables; iterBuf is
@@ -316,7 +308,6 @@ func newSolver(prob *Problem, cfg Config, ar *Arena) *solver {
 		impFunc:   ar.impFunc,
 		repFlags:  ar.repFlags,
 		fullVisit: ar.fullVisit,
-		satVisit:  ar.satVisit,
 		ptrCompat: ar.ptrCompat,
 		visitMark: ar.visitMark,
 		ar:        ar,
@@ -395,7 +386,6 @@ func (s *solver) setFlag(v VarID, bit Flags) bool {
 	}
 	s.repFlags[r] |= bit
 	s.fullVisit[r] = true
-	s.satVisit[r] = false
 	s.flagMarks++
 	s.fire(&s.tel.Firings.Flag)
 	s.noteProgress()
@@ -523,7 +513,6 @@ func (s *solver) addPointee(r, x VarID) bool {
 		return false
 	}
 	s.pointeeAdds++
-	s.satVisit[r] = false
 	if s.cfg.DP {
 		s.difOf(r).Add(x)
 	}
@@ -687,7 +676,6 @@ func (s *solver) unify(a, b VarID) VarID {
 		}
 	}
 	s.fullVisit[w] = true
-	s.satVisit[w] = false
 	s.enqueue(w)
 	return w
 }

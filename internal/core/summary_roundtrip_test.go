@@ -128,3 +128,62 @@ func TestSummaryParseRejects(t *testing.T) {
 		_, _ = ParseSummary(data)
 	}
 }
+
+// TestSummaryEqualDetectsEachField: Equal must notice a difference in any
+// one per-variable table or constraint list.
+func TestSummaryEqualDetectsEachField(t *testing.T) {
+	base := BuildSummary(genCheckpointProblem(3, 48))
+	fresh := func() *ProblemSummary {
+		s, err := ParseSummary(base.Serialize())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	if !fresh().Equal(base) {
+		t.Fatal("identical summaries compare unequal")
+	}
+	mutations := map[string]func(s *ProblemSummary){
+		"universe":  func(s *ProblemSummary) { s.Kind = s.Kind[:len(s.Kind)-1] },
+		"kind":      func(s *ProblemSummary) { s.Kind[0] ^= 1 },
+		"ptrcompat": func(s *ProblemSummary) { s.PtrCompat[0] = !s.PtrCompat[0] },
+		"flags":     func(s *ProblemSummary) { s.Flags[0] ^= FlagEscapedPointees },
+		"base":      func(s *ProblemSummary) { s.Base[0].Src++ },
+		"simple":    func(s *ProblemSummary) { s.Simple[0].Dst++ },
+		"load":      func(s *ProblemSummary) { s.Load[0].Src++ },
+		"store":     func(s *ProblemSummary) { s.Store[0].Dst++ },
+		"funcs":     func(s *ProblemSummary) { s.Funcs[0].Ret++ },
+		"nfuncs":    func(s *ProblemSummary) { s.Funcs = s.Funcs[1:] },
+		"calls":     func(s *ProblemSummary) { s.Calls[0].Args[0]++ },
+	}
+	for name, mutate := range mutations {
+		s := fresh()
+		mutate(s)
+		if s.Equal(base) || base.Equal(s) {
+			t.Fatalf("%s: differing summaries compare equal", name)
+		}
+	}
+}
+
+// TestSolutionWithProblem: a rename-only reuse resolves queries against
+// the new problem while keeping every answer.
+func TestSolutionWithProblem(t *testing.T) {
+	p := genCheckpointProblem(5, 32)
+	sol := MustSolve(p, DefaultConfig())
+	renamed := p.Clone()
+	reused := sol.WithProblem(renamed)
+	if reused.Problem() != renamed || sol.Problem() != p {
+		t.Fatal("WithProblem did not rebind only the copy")
+	}
+	if reused.Fingerprint() != sol.Fingerprint() {
+		t.Fatal("WithProblem changed the solution")
+	}
+}
+
+func TestSolverKindString(t *testing.T) {
+	for k, want := range map[SolverKind]string{Naive: "Naive", Wave: "Wave", Worklist: "WL"} {
+		if got := k.String(); got != want {
+			t.Fatalf("SolverKind(%d).String() = %q, want %q", k, got, want)
+		}
+	}
+}

@@ -49,13 +49,6 @@ type Telemetry struct {
 	// Collapse is the time spent detecting and collapsing cycles (OCD
 	// reachability checks, LCD/HCD collapse, and whole-graph SCC passes).
 	Collapse time.Duration `json:"collapse_ns"`
-	// Presaturate is the time spent in stratified presaturation: building
-	// the SCC-condensed stratum plan and running the parallel closure
-	// passes (zero when Config.SolveWorkers is 0).
-	Presaturate time.Duration `json:"presaturate_ns"`
-	// Strata is the peak number of topological strata observed across the
-	// solve's presaturation passes (zero on the sequential path).
-	Strata int `json:"strata"`
 	// Firings counts rule applications per inference rule.
 	Firings RuleFirings `json:"firings"`
 	// WorklistPeak is the high-water mark of pending worklist entries.
@@ -82,13 +75,9 @@ func (t *Telemetry) Merge(u Telemetry) {
 	t.Offline += u.Offline
 	t.Propagate += u.Propagate
 	t.Collapse += u.Collapse
-	t.Presaturate += u.Presaturate
 	t.Firings.Add(u.Firings)
 	if u.WorklistPeak > t.WorklistPeak {
 		t.WorklistPeak = u.WorklistPeak
-	}
-	if u.Strata > t.Strata {
-		t.Strata = u.Strata
 	}
 	t.Degraded = t.Degraded || u.Degraded
 }
@@ -99,9 +88,6 @@ func (t Telemetry) String() string {
 		t.Collapse.Round(time.Microsecond), t.Firings.Total(),
 		t.Firings.Trans, t.Firings.Load, t.Firings.Store, t.Firings.Call, t.Firings.Flag,
 		t.WorklistPeak)
-	if t.Presaturate > 0 {
-		s += fmt.Sprintf(", presaturate %v (%d strata)", t.Presaturate.Round(time.Microsecond), t.Strata)
-	}
 	if t.Degraded {
 		s += ", DEGRADED"
 	}

@@ -39,10 +39,6 @@ func (s *solver) solveWave() {
 		}
 		wave := s.tk.Begin("wave", obs.N("pass", int64(s.stats.Passes+1)))
 		s.collapseAllSCCs()
-		// Stratified presaturation (SolveWorkers ≥ 1): batch-saturate the
-		// TRANS closure of this wave's graph in parallel, so the visits
-		// below only drive complex constraints and the PIP rules.
-		s.presaturate()
 		order := s.topoOrder()
 		for _, r := range order {
 			if s.budgetExhausted() {

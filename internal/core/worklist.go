@@ -85,11 +85,6 @@ func (s *solver) solveWorklist() {
 		// constraints may already contain cycles, so collapse them first.
 		s.collapseAllSCCs()
 	}
-	// Stratified presaturation (SolveWorkers ≥ 1): saturate the TRANS
-	// closure of the seeded graph in parallel before the initial visits,
-	// so the worklist only has to drive the complex constraints and the
-	// PIP rules instead of element-wise transitive propagation.
-	s.presaturate()
 	// W ← P ∪ M: initialize with every node; first visits are full.
 	for v := 0; v < s.n; v++ {
 		r := s.find(VarID(v))
@@ -223,7 +218,6 @@ func (s *solver) visit(n VarID) {
 			} else {
 				s.pts[n].Clear()
 			}
-			s.satVisit[n] = false
 			s.noteProgress()
 		}
 		if s.cfg.DP && s.dif[n] != nil {
@@ -234,10 +228,6 @@ func (s *solver) visit(n VarID) {
 
 	// Simple edges n → p: TRANS / TRANSΩ.
 	if s.succ[n] != nil && s.succ[n].Len() > 0 {
-		// Presaturated and unchanged since: every successor already holds
-		// this node's full closure, so propagation is skipped. Edge
-		// maintenance (self-edge and PIP-4 removal) still runs.
-		sat := s.satVisit[n]
 		for _, q := range s.succ[n].Slice() {
 			rq := s.find(q)
 			if rq == n {
@@ -249,9 +239,6 @@ func (s *solver) visit(n VarID) {
 			if s.cfg.pipRule(4) && s.repFlags[n]&FlagEscapedPointees != 0 && s.repFlags[rq]&FlagPointsExt != 0 {
 				s.ownSucc(n).Remove(q)
 				s.noteProgress()
-				continue
-			}
-			if sat {
 				continue
 			}
 			s.propagate(n, rq, iter, full)
@@ -418,7 +405,6 @@ func (s *solver) propagate(from, to VarID, iter []uint32, full bool) {
 	}
 	if changed {
 		s.noteProgress()
-		s.satVisit[to] = false
 		s.enqueue(to)
 		return
 	}
@@ -461,7 +447,6 @@ func (s *solver) propagateFull(from, to VarID) {
 	}
 	if changed {
 		s.noteProgress()
-		s.satVisit[to] = false
 		s.enqueue(to)
 		return
 	}

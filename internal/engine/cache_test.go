@@ -43,10 +43,10 @@ func TestCacheBoundedUnderChurn(t *testing.T) {
 	const cap = 8
 	mods := testModules(3)
 	eng := New(Options{Workers: 4, Cache: true, CacheEntries: cap})
-	// 60 distinct cache keys over 3 modules: explicit keys make every job
-	// a distinct entry without generating 60 modules.
+	// 48 distinct cache keys over 3 modules: explicit keys make every job
+	// a distinct entry without generating 48 modules.
 	var jobs []Job
-	for round := 0; round < 20; round++ {
+	for round := 0; round < 16; round++ {
 		for i, m := range mods {
 			jobs = append(jobs, Job{
 				Key:    fmt.Sprintf("churn-%d-%d", round, i),
@@ -55,11 +55,11 @@ func TestCacheBoundedUnderChurn(t *testing.T) {
 			})
 		}
 	}
-	for start := 0; start < len(jobs); start += 6 {
-		end := start + 6
-		if end > len(jobs) {
-			end = len(jobs)
-		}
+	// Batches of exactly cap jobs: the pool finishes the jobs of one batch
+	// in any order, so only whole batches insert in a fixed LRU order, and
+	// the final batch is exactly the resident set checked below.
+	for start := 0; start < len(jobs); start += cap {
+		end := start + cap
 		for i, r := range eng.Run(jobs[start:end]) {
 			if r.Err != nil {
 				t.Fatalf("job %d: %v", start+i, r.Err)

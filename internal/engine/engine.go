@@ -23,7 +23,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -60,14 +59,6 @@ type Options struct {
 	// and unbudgeted runs never share cached solutions. Degraded
 	// solutions are never cached (a deadline abort is nondeterministic).
 	Budget core.Budget
-	// SolveWorkers is the default intra-solve worker count
-	// (core.Config.SolveWorkers), applied to every job whose own config
-	// leaves it zero. Like Budget it is folded in before the cache key is
-	// computed; unlike Budget that changes nothing for sharing, because
-	// every SolveWorkers >= 1 renders as the same "PAR" config marker —
-	// the differential harness guarantees the solutions are bit-identical
-	// across worker counts, so they may share cache entries.
-	SolveWorkers int
 	// Trace, when non-nil, records engine activity onto the trace: one
 	// track per pool worker carrying a span per job (queue wait and run
 	// time) with the solve's own phase spans nested inside. A nil trace
@@ -177,8 +168,8 @@ type Result struct {
 }
 
 // Stats is the engine's cumulative counters across all Run calls. The
-// struct marshals to JSON (and through expvar via Engine.Publish) with the
-// telemetry block aggregated across every solved job.
+// struct marshals to JSON with the telemetry block aggregated across every
+// solved job.
 type Stats struct {
 	Jobs      int `json:"jobs"`
 	CacheHits int `json:"cache_hits"`
@@ -217,12 +208,6 @@ type Stats struct {
 	// CacheCorrupt counts cache entries whose content hash failed
 	// verification on read; each was evicted and re-solved, never served.
 	CacheCorrupt int64 `json:"cache_corrupt_detected"`
-	// Stratified counts solved (non-cached) jobs whose solve actually ran
-	// stratified parallel presaturation — SolveWorkers >= 1 on a problem
-	// big enough to stratify. The gap between Jobs and Stratified shows
-	// how much of a parallel-configured workload fell back to the plain
-	// sequential path.
-	Stratified int64 `json:"stratified"`
 	// Coalesced counts jobs served by waiting on a concurrent identical
 	// solve instead of solving themselves.
 	Coalesced int64 `json:"coalesced"`
@@ -253,7 +238,7 @@ func (st Stats) String() string {
 }
 
 // JSON renders the stats block (including aggregated telemetry) as
-// indented JSON, the same shape expvar exports.
+// indented JSON.
 func (st Stats) JSON() string {
 	b, err := json.MarshalIndent(st, "", "  ")
 	if err != nil {
@@ -278,7 +263,6 @@ func (st *Stats) Merge(u Stats) {
 	st.WatchdogFired += u.WatchdogFired
 	st.MemTightened += u.MemTightened
 	st.CacheCorrupt += u.CacheCorrupt
-	st.Stratified += u.Stratified
 	st.Coalesced += u.Coalesced
 	st.Incremental += u.Incremental
 	st.Demand += u.Demand
@@ -293,37 +277,6 @@ func (st *Stats) Merge(u Stats) {
 		st.Workers = u.Workers
 	}
 	st.Telemetry.Merge(u.Telemetry)
-}
-
-// published maps expvar names to the engine currently exported under each
-// name. Guarded by publishMu; the atomic holder lets the expvar closure
-// read the current engine without taking the mutex. Registering through
-// this table (instead of an expvar.Get existence check followed by
-// expvar.Publish) removes the check-then-act window in which two engines
-// registering the same name concurrently could both miss the check and
-// double-Publish — expvar panics on duplicate names.
-var (
-	publishMu sync.Mutex
-	published = map[string]*atomic.Pointer[Engine]{}
-)
-
-// Publish registers the engine's live stats under the given expvar name
-// (exported as JSON on /debug/vars when the host process serves it).
-// Publishing a name that is already registered re-points the export at
-// this engine — the latest engine wins — so a long-running process that
-// rebuilds its engine keeps exporting live stats instead of a dead
-// engine's frozen counters. Publish is safe to call concurrently.
-func (e *Engine) Publish(name string) {
-	publishMu.Lock()
-	defer publishMu.Unlock()
-	if h, ok := published[name]; ok {
-		h.Store(e)
-		return
-	}
-	h := &atomic.Pointer[Engine]{}
-	h.Store(e)
-	published[name] = h
-	expvar.Publish(name, expvar.Func(func() any { return h.Load().Stats() }))
 }
 
 type cached struct {
@@ -447,7 +400,7 @@ func (e *Engine) Stats() Stats {
 		st.StoreCorrupt = int64(e.dstore.Stats().Corrupt)
 	}
 	// An engine mid-run has an open busy span; fold the elapsed part in so
-	// live exports (expvar, /metrics) show monotonic wall time instead of
+	// live exports (/metrics) show monotonic wall time instead of
 	// a value frozen at the last idle point.
 	if e.inFlight > 0 {
 		st.Wall += time.Since(e.busyStart)
@@ -587,9 +540,6 @@ func (e *Engine) noteDone(res Result) {
 	// nothing) contribute nothing.
 	if res.Sol != nil && !res.CacheHit {
 		e.stats.Telemetry.Merge(res.Sol.Telemetry)
-		if res.Sol.Telemetry.Strata > 0 {
-			e.stats.Stratified++
-		}
 	}
 	if res.Incremental != nil {
 		e.stats.Incremental++
@@ -774,11 +724,6 @@ func (e *Engine) attemptJob(j Job, tk obs.Track, ar *core.Arena) (res Result) {
 	if j.Config.Budget.IsZero() && !e.opts.Budget.IsZero() {
 		j.Config.Budget = e.opts.Budget
 	}
-	// Same folding for the default intra-solve worker count; it too is part
-	// of Config.String() (as the worker-count-independent "PAR" marker).
-	if j.Config.SolveWorkers == 0 && e.opts.SolveWorkers > 0 {
-		j.Config.SolveWorkers = e.opts.SolveWorkers
-	}
 	// Demand-driven jobs bypass the cache in both directions: their
 	// solutions are partial slices, exact only on the explored components,
 	// so serving a cached exhaustive solution would overstate the work done
@@ -915,9 +860,9 @@ func (e *Engine) attemptJob(j Job, tk obs.Track, ar *core.Arena) (res Result) {
 // non-nil state is diffed against the resubmission and the solve reuses,
 // resumes, or falls back as the summary delta allows (see
 // internal/core/incr). A lineage's configuration is fixed at generation 0
-// (with the engine's default budget and intra-solve worker count folded
-// in); later generations inherit it and the job's own Config is ignored —
-// a configuration change is a different lineage. Non-degraded results are
+// (with the engine's default budget folded in); later generations inherit
+// it and the job's own Config is ignored — a configuration change is a
+// different lineage. Non-degraded results are
 // stored into the solution cache under a generation-suffixed key so
 // incremental generations never collide with each other or with ordinary
 // exhaustive entries; the incremental path never serves from the cache
@@ -961,9 +906,6 @@ func (e *Engine) attemptIncremental(st *incr.State, j Job, tk obs.Track) (res Re
 		// configuration once; every later generation inherits the result.
 		if j.Config.Budget.IsZero() && !e.opts.Budget.IsZero() {
 			j.Config.Budget = e.opts.Budget
-		}
-		if j.Config.SolveWorkers == 0 && e.opts.SolveWorkers > 0 {
-			j.Config.SolveWorkers = e.opts.SolveWorkers
 		}
 		nst, err = incr.NewTraced(gen.Problem, j.Config, tk, nil)
 		if err != nil {

@@ -8,7 +8,6 @@ package engine
 // representative table instead of a live (path-compressing) union-find.
 
 import (
-	"expvar"
 	"sync"
 	"testing"
 
@@ -106,46 +105,6 @@ func TestRaceSharedCachedSolution(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("job %d: %v", i, r.Err)
 		}
-	}
-}
-
-// TestRacePublishConcurrent hammers Publish from many goroutines — many
-// engines racing to register and re-point the same expvar name while
-// readers scrape it. The original expvar.Get-then-Publish sequence was
-// check-then-act: two engines could both miss the existence check and
-// double-Publish, which panics inside expvar. The registry-based Publish
-// must survive this under the race detector.
-func TestRacePublishConcurrent(t *testing.T) {
-	const name = "pip-engine-race-publish"
-	engines := make([]*Engine, 8)
-	for i := range engines {
-		engines[i] = New(Options{Workers: 1})
-	}
-	var wg sync.WaitGroup
-	for i := range engines {
-		wg.Add(1)
-		go func(e *Engine) {
-			defer wg.Done()
-			for n := 0; n < 100; n++ {
-				e.Publish(name)
-			}
-		}(engines[i])
-	}
-	// Concurrent scrapes: the exported Func must always see a live engine.
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := 0; n < 100; n++ {
-				if v := expvar.Get(name); v != nil {
-					_ = v.String()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if expvar.Get(name) == nil {
-		t.Fatal("name never registered")
 	}
 }
 

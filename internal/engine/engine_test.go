@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/pip-analysis/pip/internal/core"
-	"github.com/pip-analysis/pip/internal/core/differential"
 	"github.com/pip-analysis/pip/internal/ir"
 	"github.com/pip-analysis/pip/internal/workload"
 )
@@ -239,39 +238,5 @@ func TestModuleHashDistinguishesContent(t *testing.T) {
 	cfg := core.DefaultConfig()
 	if CacheKey(h0, cfg) == CacheKey(h1, cfg) {
 		t.Fatal("cache keys collide")
-	}
-}
-
-// TestSolveWorkersFolding checks the engine's default intra-solve worker
-// count: it is folded into job configs (so the solve actually stratifies),
-// counted by Stats.Stratified, and — because every SolveWorkers >= 1
-// renders as the same "PAR" marker — parallel solves at different worker
-// counts share one cache entry.
-func TestSolveWorkersFolding(t *testing.T) {
-	g := &core.Gen{Problem: differential.Generate(5, differential.DefaultGen())}
-	eng := New(Options{Workers: 2, Cache: true, SolveWorkers: 4})
-	res := eng.RunOne(Job{Gen: g, Key: "sw-fold", Config: core.MustParseConfig("IP+WL(FIFO)+PIP")})
-	if res.Err != nil {
-		t.Fatal(res.Err)
-	}
-	if res.Sol.Telemetry.Strata == 0 {
-		t.Fatal("default SolveWorkers was not folded into the job config (no strata ran)")
-	}
-	if st := eng.Stats(); st.Stratified != 1 {
-		t.Fatalf("Stratified = %d, want 1", st.Stratified)
-	}
-
-	// Derived cache keys: every worker count >= 1 renders as the same
-	// "PAR" marker — the differential harness guarantees bit-identical
-	// solutions, so they may share one cache entry — while the sequential
-	// path keys separately (its solve is identical too, but only up to
-	// Canonical, not Fingerprint).
-	c4, c8, c0 := core.MustParseConfig("IP+WL(FIFO)+PIP"), core.MustParseConfig("IP+WL(FIFO)+PIP"), core.MustParseConfig("IP+WL(FIFO)+PIP")
-	c4.SolveWorkers, c8.SolveWorkers = 4, 8
-	if CacheKey("h", c4) != CacheKey("h", c8) {
-		t.Fatal("worker counts 4 and 8 derive different cache keys")
-	}
-	if CacheKey("h", c4) == CacheKey("h", c0) {
-		t.Fatal("parallel and sequential solves share a cache key")
 	}
 }

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"expvar"
 	"strings"
 	"testing"
 
@@ -175,9 +174,8 @@ func TestBudgetCacheKeySeparation(t *testing.T) {
 	}
 }
 
-// TestEngineStatsExport covers the JSON/expvar telemetry export: the
-// aggregated stats marshal with the telemetry schema and publish exactly
-// once under a stable expvar name.
+// TestEngineStatsExport covers the JSON telemetry export: the aggregated
+// stats marshal with the telemetry schema.
 func TestEngineStatsExport(t *testing.T) {
 	m := workload.GenerateLinked(7).A
 	eng := New(Options{})
@@ -192,26 +190,6 @@ func TestEngineStatsExport(t *testing.T) {
 		}
 	}
 
-	eng.Publish("pip-engine-test")
-	v := expvar.Get("pip-engine-test")
-	if v == nil {
-		t.Fatal("expvar not published")
-	}
-	if !strings.Contains(v.String(), "\"telemetry\"") {
-		t.Fatalf("expvar export lacks telemetry: %s", v.String())
-	}
-	// Re-publishing re-points the export: the latest engine wins, so a
-	// process that rebuilds its engine keeps exporting live stats.
-	eng.Publish("pip-engine-test")
-	fresh := New(Options{})
-	fresh.Publish("pip-engine-test")
-	if s := expvar.Get("pip-engine-test").String(); !strings.Contains(s, "\"jobs\":0") {
-		t.Fatalf("expvar still exports the old engine after re-publish: %s", s)
-	}
-	eng.Publish("pip-engine-test")
-	if s := expvar.Get("pip-engine-test").String(); !strings.Contains(s, "\"jobs\":1") {
-		t.Fatalf("expvar not re-pointed back: %s", s)
-	}
 }
 
 // TestStatsMerge covers the cross-engine aggregation used by the bench

@@ -46,7 +46,6 @@ const (
 	CoreSolve       Point = "core.solve"      // start of every SolveTraced, after validation
 	CoreWave        Point = "core.wave"       // top of each wave in the Wave strategy
 	CoreCollapse    Point = "core.collapse"   // entry of each top-level cycle collapse
-	CoreStrata      Point = "core.strata"     // entry of each stratified presaturation pass
 	EngineDispatch  Point = "engine.dispatch" // worker picks up a job, before solve
 	EngineCacheIns  Point = "engine.cache.insert"
 	EngineCacheLook Point = "engine.cache.lookup"
@@ -61,7 +60,7 @@ const (
 // arm "everything at ≥1%" without enumerating sites by hand.
 func Points() []Point {
 	return []Point{
-		CoreSolve, CoreWave, CoreCollapse, CoreStrata,
+		CoreSolve, CoreWave, CoreCollapse,
 		EngineDispatch, EngineCacheIns, EngineCacheLook,
 		ServeAdmission, ServeHandler,
 		StoreSave, StoreLoad, RouterForward,

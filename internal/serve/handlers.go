@@ -532,41 +532,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, status, resp)
 }
 
-// metricsResponse is the /metrics body: the engine's cumulative stats
-// (including aggregated solver telemetry), cache occupancy against its
-// cap, and the server's request counters.
-type metricsResponse struct {
-	Engine pip.EngineStats `json:"engine"`
-	Cache  cacheMetrics    `json:"cache"`
-	Server serverMetrics   `json:"server"`
-}
-
-type cacheMetrics struct {
-	Entries   int   `json:"entries"`
-	Capacity  int   `json:"capacity"`
-	Evictions int64 `json:"evictions"`
-	Hits      int   `json:"hits"`
-}
-
-type serverMetrics struct {
-	Accepted    int64 `json:"accepted"`
-	Rejected    int64 `json:"rejected"`
-	BadRequests int64 `json:"bad_requests"`
-	Failures    int64 `json:"failures"`
-	Degraded    int64 `json:"degraded"`
-	InFlight    int64 `json:"in_flight"`
-	Queued      int64 `json:"queued"`
-	Draining    bool  `json:"draining"`
-}
-
-// handleMetrics serves Prometheus text exposition format (0.0.4) by
-// default; the original JSON body remains available at ?format=json for
-// existing dashboards and the pipserve smoke check.
+// handleMetrics serves Prometheus text exposition format (0.0.4).
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		s.handleMetricsJSON(w)
-		return
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.writeProm(w)
 }
@@ -654,7 +621,6 @@ func (s *Server) writeProm(w io.Writer) {
 	// Engine counters and the per-rule firing breakdown.
 	p.Counter("pip_engine_jobs_total", "Jobs executed by the shared engine.", float64(st.Jobs))
 	p.Counter("pip_engine_failures_total", "Engine jobs that failed (solver error or recovered panic).", float64(st.Failures))
-	p.Counter("pip_engine_stratified_total", "Solved jobs whose solve ran stratified parallel presaturation.", float64(st.Stratified))
 	p.CounterVec("pip_rule_firings_total",
 		"Inference-rule applications per rule family, aggregated across all solves.",
 		"rule", map[string]float64{
@@ -679,10 +645,9 @@ func (s *Server) writeProm(w io.Writer) {
 	p.CounterVec("pip_engine_phase_seconds_total",
 		"Per-phase solver time summed across solves (CPU time: may exceed the busy span).",
 		"phase", map[string]float64{
-			"offline":     st.Telemetry.Offline.Seconds(),
-			"propagate":   st.Telemetry.Propagate.Seconds(),
-			"collapse":    st.Telemetry.Collapse.Seconds(),
-			"presaturate": st.Telemetry.Presaturate.Seconds(),
+			"offline":   st.Telemetry.Offline.Seconds(),
+			"propagate": st.Telemetry.Propagate.Seconds(),
+			"collapse":  st.Telemetry.Collapse.Seconds(),
 		})
 	p.Gauge("pip_engine_worklist_peak", "Highest worklist depth seen by any solve.", float64(st.Telemetry.WorklistPeak))
 	p.Gauge("pip_engine_workers", "Configured engine pool bound.", float64(st.Workers))
@@ -715,27 +680,4 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter) {
-	st := s.eng.Stats()
-	s.writeJSON(w, http.StatusOK, metricsResponse{
-		Engine: st,
-		Cache: cacheMetrics{
-			Entries:   st.CacheEntries,
-			Capacity:  s.eng.CacheCap(),
-			Evictions: st.CacheEvictions,
-			Hits:      st.CacheHits,
-		},
-		Server: serverMetrics{
-			Accepted:    s.accepted.Load(),
-			Rejected:    s.rejected.Load(),
-			BadRequests: s.badRequests.Load(),
-			Failures:    s.failures.Load(),
-			Degraded:    s.degraded.Load(),
-			InFlight:    s.running.Load(),
-			Queued:      s.queued.Load(),
-			Draining:    s.draining.Load(),
-		},
-	})
 }

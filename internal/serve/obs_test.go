@@ -13,7 +13,7 @@ import (
 
 // TestMetricsPrometheusExposition: the default /metrics body is valid
 // Prometheus text exposition format with populated solve-latency buckets
-// after a solve, and the legacy JSON stays reachable at ?format=json.
+// after a solve.
 func TestMetricsPrometheusExposition(t *testing.T) {
 	s := New(Options{})
 	ts := httptest.NewServer(s.Handler())
@@ -44,6 +44,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 		"pip_solve_latency_seconds_count 1",
 		"pip_queue_wait_seconds_count 1",
 		"pip_requests_accepted_total 1",
+		"pip_engine_jobs_total 1",
 		`pip_rule_firings_total{rule="trans"}`,
 		`pip_engine_phase_seconds_total{phase="propagate"}`,
 		"pip_engine_busy_seconds_total",
@@ -58,15 +59,6 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 	// request took well under the top bucket's 30s).
 	if !strings.Contains(text, `pip_solve_latency_seconds_bucket{le="30"} 1`) {
 		t.Fatalf("solve latency histogram not populated:\n%s", text)
-	}
-
-	// Legacy JSON is still served under ?format=json.
-	var m metricsResponse
-	if code := getJSON(t, ts, "/metrics?format=json", &m); code != http.StatusOK {
-		t.Fatalf("json metrics returned %d", code)
-	}
-	if m.Server.Accepted != 1 || m.Engine.Jobs != 1 {
-		t.Fatalf("json metrics wrong: %+v", m)
 	}
 }
 

@@ -177,10 +177,8 @@ func TestAdmissionFaultRejectsBeforeAdmission(t *testing.T) {
 	assertRetryAfterFloor(t, resp)
 	// The request was refused before admission: nothing to drain, nothing
 	// accepted.
-	var m metricsResponse
-	getJSON(t, ts, "/metrics?format=json", &m)
-	if m.Server.Accepted != 0 {
-		t.Fatalf("admission-faulted request was counted as accepted: %+v", m.Server)
+	if got := scrapeMetrics(t, ts)("pip_requests_accepted_total"); got != 0 {
+		t.Fatalf("admission-faulted request was counted as accepted: %v", got)
 	}
 }
 
@@ -244,12 +242,12 @@ func TestDrainUnderFault(t *testing.T) {
 			t.Fatalf("request %d: no definitive response (code %d)", i, code)
 		}
 	}
-	var m metricsResponse
-	getJSON(t, ts, "/metrics?format=json", &m)
-	if m.Server.InFlight != 0 || m.Server.Queued != 0 {
-		t.Fatalf("drain left work behind: %+v", m.Server)
+	m := scrapeMetrics(t, ts)
+	if m("pip_running_solves") != 0 || m("pip_queued_requests") != 0 {
+		t.Fatalf("drain left work behind: running %v, queued %v",
+			m("pip_running_solves"), m("pip_queued_requests"))
 	}
-	if !m.Server.Draining {
+	if m("pip_draining") != 1 {
 		t.Fatal("server not marked draining after Shutdown")
 	}
 	// New work is refused once draining.

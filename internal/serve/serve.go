@@ -20,11 +20,10 @@
 //   - graceful shutdown: Shutdown stops admitting work and drains every
 //     in-flight solve before returning, so no accepted request is dropped;
 //   - observability: /healthz for liveness/readiness, /metrics in
-//     Prometheus text exposition format (the legacy JSON body remains at
-//     /metrics?format=json), optional /debug/pprof/* profiling endpoints,
-//     per-request IDs (X-Request-Id, accepted or generated) threaded
-//     through structured logs and solve traces, and latency histograms
-//     split into queue wait and solve time.
+//     Prometheus text exposition format, optional /debug/pprof/* profiling
+//     endpoints, per-request IDs (X-Request-Id, accepted or generated)
+//     threaded through structured logs and solve traces, and latency
+//     histograms split into queue wait and solve time.
 package serve
 
 import (
@@ -79,13 +78,6 @@ type Options struct {
 	// DefaultBudget bounds every solve that names no budget of its own.
 	// Zero means unbudgeted (not recommended for exposed servers).
 	DefaultBudget pip.Budget
-
-	// SolveWorkers is the default intra-solve worker count folded into
-	// every request whose configuration leaves it unset: 0 keeps the
-	// legacy sequential solver, >= 1 runs stratified parallel
-	// presaturation inside each solve (bit-identical answers for every
-	// count >= 1).
-	SolveWorkers int
 
 	// MaxBodyBytes bounds request bodies; <= 0 means DefaultMaxBodyBytes.
 	MaxBodyBytes int64
@@ -279,7 +271,6 @@ func New(opts Options) *Server {
 		Workers:        opts.Workers,
 		Cache:          true,
 		CacheEntries:   opts.CacheEntries,
-		SolveWorkers:   opts.SolveWorkers,
 		Retries:        opts.Retries,
 		WatchdogFactor: opts.WatchdogFactor,
 		MemSoftLimit:   opts.MemSoftLimit,
@@ -363,9 +354,6 @@ func requestIDFrom(ctx context.Context) string {
 	id, _ := ctx.Value(requestIDKey{}).(string)
 	return id
 }
-
-// Engine returns the server's shared engine (for expvar publishing).
-func (s *Server) Engine() *pip.Engine { return s.eng }
 
 // Handler returns the server's HTTP handler.
 func (s *Server) Handler() http.Handler { return s.mux }

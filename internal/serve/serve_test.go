@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -53,6 +55,42 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, out any) int {
 		}
 	}
 	return resp.StatusCode
+}
+
+// scrapeMetrics reads /metrics once and returns a lookup of its samples by
+// series (name plus any label set, as printed). Looking up a series the
+// scrape lacks fails the test.
+func scrapeMetrics(t *testing.T, ts *httptest.Server) func(series string) float64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samples := map[string]float64{}
+	for _, line := range strings.Split(string(body), "\n") {
+		i := strings.LastIndexByte(line, ' ')
+		if line == "" || line[0] == '#' || i < 0 {
+			continue
+		}
+		v, err := strconv.ParseFloat(line[i+1:], 64)
+		if err != nil {
+			t.Fatalf("metrics line %q: %v", line, err)
+		}
+		samples[line[:i]] = v
+	}
+	return func(series string) float64 {
+		t.Helper()
+		v, ok := samples[series]
+		if !ok {
+			t.Fatalf("metrics lack %s:\n%s", series, body)
+		}
+		return v
+	}
 }
 
 func TestSolveEndpoint(t *testing.T) {
@@ -270,10 +308,10 @@ func TestMalformedRequests(t *testing.T) {
 	if st := s.eng.Stats(); st.Jobs != 0 {
 		t.Fatalf("malformed requests reached the engine: %+v", st)
 	}
-	var m metricsResponse
-	getJSON(t, ts, "/metrics?format=json", &m)
-	if m.Server.BadRequests == 0 || m.Server.Failures != 0 {
-		t.Fatalf("bad requests not counted: %+v", m.Server)
+	m := scrapeMetrics(t, ts)
+	if m("pip_requests_bad_total") == 0 || m("pip_requests_failed_total") != 0 {
+		t.Fatalf("bad requests not counted: bad %v, failed %v",
+			m("pip_requests_bad_total"), m("pip_requests_failed_total"))
 	}
 }
 
@@ -329,10 +367,10 @@ func TestAdmissionControlOverflow(t *testing.T) {
 			t.Fatalf("queued request %d finished with %d", i, code)
 		}
 	}
-	var m metricsResponse
-	getJSON(t, ts, "/metrics?format=json", &m)
-	if m.Server.Rejected != 1 || m.Server.Accepted != 2 {
-		t.Fatalf("admission counters: %+v", m.Server)
+	m := scrapeMetrics(t, ts)
+	if m("pip_requests_rejected_total") != 1 || m("pip_requests_accepted_total") != 2 {
+		t.Fatalf("admission counters: rejected %v, accepted %v",
+			m("pip_requests_rejected_total"), m("pip_requests_accepted_total"))
 	}
 }
 
@@ -487,39 +525,40 @@ func TestConcurrentLoad(t *testing.T) {
 		t.Fatal("hot module never hit the cache")
 	}
 
-	var m metricsResponse
-	if code := getJSON(t, ts, "/metrics?format=json", &m); code != http.StatusOK {
-		t.Fatalf("metrics: %d", code)
-	}
+	m := scrapeMetrics(t, ts)
 	// Engine counters line up with what the clients observed.
-	if m.Engine.Jobs != total {
-		t.Fatalf("engine jobs %d, want %d", m.Engine.Jobs, total)
+	if got := m("pip_engine_jobs_total"); got != float64(total) {
+		t.Fatalf("engine jobs %v, want %d", got, total)
 	}
-	if m.Engine.CacheHits != hits {
-		t.Fatalf("engine cache hits %d, clients saw %d", m.Engine.CacheHits, hits)
+	if got := m("pip_cache_hits_total"); got != float64(hits) {
+		t.Fatalf("engine cache hits %v, clients saw %d", got, hits)
 	}
-	if m.Engine.Degraded != degraded || m.Server.Degraded != int64(degraded) {
-		t.Fatalf("degradations: engine %d server %d clients %d",
-			m.Engine.Degraded, m.Server.Degraded, degraded)
+	if st := s.eng.Stats(); st.Degraded != degraded || m("pip_solves_degraded_total") != float64(degraded) {
+		t.Fatalf("degradations: engine %d server %v clients %d",
+			st.Degraded, m("pip_solves_degraded_total"), degraded)
 	}
-	if m.Engine.Failures != 0 || m.Server.Failures != 0 {
-		t.Fatalf("failures: %+v / %+v", m.Engine, m.Server)
+	if m("pip_engine_failures_total") != 0 || m("pip_requests_failed_total") != 0 {
+		t.Fatalf("failures: engine %v, server %v",
+			m("pip_engine_failures_total"), m("pip_requests_failed_total"))
 	}
 	// The cache stayed bounded despite ~cold-module churn, and the churn
 	// beyond the cap shows up as evictions.
-	if m.Cache.Entries > cacheCap || m.Cache.Capacity != cacheCap {
-		t.Fatalf("cache occupancy %d exceeds cap %d", m.Cache.Entries, cacheCap)
+	if m("pip_cache_entries") > cacheCap || m("pip_cache_capacity") != cacheCap {
+		t.Fatalf("cache occupancy %v exceeds cap %d", m("pip_cache_entries"), cacheCap)
 	}
-	if m.Cache.Evictions == 0 {
+	if m("pip_cache_evictions_total") == 0 {
 		t.Fatal("cold churn produced no evictions")
 	}
-	if m.Server.Accepted != int64(total+0) || m.Server.Rejected != 0 {
-		t.Fatalf("admission counters: %+v", m.Server)
+	if m("pip_requests_accepted_total") != float64(total) || m("pip_requests_rejected_total") != 0 {
+		t.Fatalf("admission counters: accepted %v, rejected %v",
+			m("pip_requests_accepted_total"), m("pip_requests_rejected_total"))
 	}
-	if m.Server.InFlight != 0 || m.Server.Queued != 0 {
-		t.Fatalf("idle server reports in-flight work: %+v", m.Server)
+	if m("pip_running_solves") != 0 || m("pip_queued_requests") != 0 {
+		t.Fatalf("idle server reports in-flight work: running %v, queued %v",
+			m("pip_running_solves"), m("pip_queued_requests"))
 	}
-	if m.Engine.Wall <= 0 || m.Engine.CPU <= 0 {
-		t.Fatalf("engine timing counters empty: wall=%v cpu=%v", m.Engine.Wall, m.Engine.CPU)
+	if m("pip_engine_busy_seconds_total") <= 0 || m("pip_engine_cpu_seconds_total") <= 0 {
+		t.Fatalf("engine timing counters empty: busy=%v cpu=%v",
+			m("pip_engine_busy_seconds_total"), m("pip_engine_cpu_seconds_total"))
 	}
 }

@@ -31,8 +31,10 @@ func (f *Forest) Grow(n int) {
 // Reset reinitializes the forest to n singleton sets, reusing the backing
 // storage when possible. Pooled solver arenas use this to recycle one
 // forest across solves instead of allocating a fresh one per solve.
+// Grow extends parent and rank by separate appends, so their capacities
+// can differ; both must hold n before either is resliced.
 func (f *Forest) Reset(n int) {
-	if cap(f.parent) >= n {
+	if cap(f.parent) >= n && cap(f.rank) >= n {
 		f.parent = f.parent[:n]
 		f.rank = f.rank[:n]
 	} else {

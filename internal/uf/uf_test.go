@@ -170,3 +170,23 @@ func TestReset(t *testing.T) {
 		t.Fatalf("reset left 0 and 1 merged")
 	}
 }
+
+// TestResetUnevenCapacity: New grows parent ([]uint32) and rank ([]uint8)
+// by separate appends, so their capacities differ (for n=865, parent ends
+// at capacity 1344 and rank at 896). A Reset between the two capacities
+// must grow rank too instead of reslicing it past its capacity.
+func TestResetUnevenCapacity(t *testing.T) {
+	f := New(865)
+	f.Reset(897)
+	if f.Len() != 897 {
+		t.Fatalf("Len after Reset(897) = %d", f.Len())
+	}
+	for i := uint32(0); i < 897; i++ {
+		if f.Find(i) != i {
+			t.Fatalf("Find(%d) = %d after reset, want singleton", i, f.Find(i))
+		}
+	}
+	if r := f.Union(0, 896); f.Find(896) != r {
+		t.Fatalf("union after uneven reset broken")
+	}
+}

@@ -179,12 +179,6 @@ type BatchOptions struct {
 	// Budget bounds each module's solve; modules that exhaust it yield
 	// Degraded results (see Budget).
 	Budget Budget
-	// SolveWorkers is the default intra-solve worker count applied to
-	// every job whose config leaves core.Config.SolveWorkers zero: 0 keeps
-	// the legacy sequential solver, >= 1 enables stratified parallel
-	// presaturation inside each solve. Solutions are bit-identical for
-	// every count >= 1 (enforced by internal/core/differential).
-	SolveWorkers int
 	// Trace, when non-nil, records engine activity (one track per pool
 	// worker, a span per job with queue-wait and outcome, the solve's
 	// phase spans nested inside) onto the trace. Nil costs nothing.
@@ -281,7 +275,6 @@ func NewEngine(opts BatchOptions) *Engine {
 		Cache:          opts.Cache,
 		CacheEntries:   opts.CacheEntries,
 		Budget:         opts.Budget,
-		SolveWorkers:   opts.SolveWorkers,
 		Trace:          opts.Trace,
 		Retry:          engine.RetryPolicy{Max: opts.Retries},
 		WatchdogFactor: opts.WatchdogFactor,
@@ -334,9 +327,6 @@ func (e *Engine) Stats() EngineStats { return e.eng.Stats() }
 
 // CacheCap returns the configured cache bound (0 = unbounded or no cache).
 func (e *Engine) CacheCap() int { return e.eng.CacheCap() }
-
-// Publish exports the engine's live stats under the given expvar name.
-func (e *Engine) Publish(name string) { e.eng.Publish(name) }
 
 // OpenStore attaches a persistent on-disk solution store rooted at dir as
 // the cache's second tier: memory hit → verified disk hit → solve. Cached
