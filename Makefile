@@ -32,9 +32,9 @@ bench-snapshot:
 	$(GO) run ./cmd/pipbench -scale 0.02 -sizescale 0.1 -maxinstrs 4000 -reps 1 -run headline -json results/BENCH_PR4.json
 
 # End-to-end check of the analysis service: ephemeral port, one real
-# HTTP solve + healthz + a validated Prometheus /metrics scrape +
-# legacy JSON metrics + a traced request round-tripped through
-# /debug/trace?id= and /debug/flightrec, graceful drain.
+# HTTP solve + healthz + a validated Prometheus /metrics scrape + a
+# traced request round-tripped through /debug/trace?id= and
+# /debug/flightrec, graceful drain.
 serve-smoke:
 	$(GO) run ./cmd/pipserve -smoke
 

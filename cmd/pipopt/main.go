@@ -100,7 +100,7 @@ func main() {
 	})
 	optimized := run("Andersen+BasicAA:", func(m *ir.Module) alias.Analysis {
 		gen := core.Generate(m)
-		sol, err := core.SolveTraced(gen.Problem, cfg, lane)
+		sol, err := core.Solve(gen.Problem, cfg, core.SolveOptions{Trace: lane})
 		if err != nil {
 			fatal(err)
 		}

@@ -564,8 +564,9 @@ func routerSmokeCheck(base string) error {
 
 // smokeCheck exercises the service end to end: one solve with a points-to
 // query (carrying a request ID, so a -trace run records a named lane),
-// then /healthz, the Prometheus /metrics exposition, and the legacy JSON
-// metrics.
+// the request's trace read back from /debug/trace?id= and
+// /debug/flightrec, then /healthz and the Prometheus /metrics
+// exposition.
 func smokeCheck(base string) error {
 	body, err := json.Marshal(map[string]any{
 		"name":    "smoke.c",

@@ -22,7 +22,7 @@ func NewAndersen(gen *core.Gen, sol *core.Solution) *Andersen {
 // returns the Andersen alias client.
 func AnalyzeModule(m *ir.Module, cfg core.Config) (*Andersen, error) {
 	gen := core.Generate(m)
-	sol, err := core.Solve(gen.Problem, cfg)
+	sol, err := core.Solve(gen.Problem, cfg, core.SolveOptions{})
 	if err != nil {
 		return nil, err
 	}

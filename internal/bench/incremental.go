@@ -7,6 +7,7 @@ import (
 
 	"github.com/pip-analysis/pip/internal/core"
 	"github.com/pip-analysis/pip/internal/core/incr"
+	"github.com/pip-analysis/pip/internal/obs"
 )
 
 // IncrementalConfig is the configuration the incremental driver measures.
@@ -64,7 +65,7 @@ func MeasureIncremental(c *Corpus, reps int) IncrementalResult {
 		edited.AddBase(p, obj)
 		edited.AddSimple(0, p)
 
-		st, err := incr.New(base, cfg)
+		st, err := incr.New(base, cfg, obs.Track{})
 		if err != nil {
 			panic(fmt.Sprintf("bench: incremental baseline %s failed: %v", f.Name, err))
 		}
@@ -82,7 +83,7 @@ func MeasureIncremental(c *Corpus, reps int) IncrementalResult {
 		var stats *incr.UpdateStats
 		for rep := 0; rep < reps; rep++ {
 			t0 := time.Now()
-			s, us, err := st.Update(edited)
+			s, us, err := st.Update(edited, obs.Track{})
 			if err != nil {
 				panic(fmt.Sprintf("bench: incremental update %s failed: %v", f.Name, err))
 			}

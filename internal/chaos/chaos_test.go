@@ -346,7 +346,7 @@ func TestChaosWaveAndCollapsePoints(t *testing.T) {
 		var sawDegraded bool
 		for _, m := range mods {
 			for i := 0; i < 8; i++ {
-				sol, err := core.Solve(core.Generate(m).Problem, cfg)
+				sol, err := core.Solve(core.Generate(m).Problem, cfg, core.SolveOptions{})
 				if err != nil {
 					t.Fatalf("%s: mid-solve fault surfaced as error: %v", name, err)
 				}

@@ -69,6 +69,34 @@ void f%d() { take(&p%d); }
 		exact[i] = res.Dump()
 	}
 
+	servers := make([]*serve.Server, 3)
+	backends := make([]*httptest.Server, 3)
+	urls := make([]string, 3)
+	owned := make([]int, 3)
+	var ownedMu sync.Mutex
+	for i := range servers {
+		servers[i] = serve.New(serve.Options{MaxConcurrent: 4, MaxQueue: 64})
+		h := servers[i].Handler()
+		backends[i] = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.Header.Get("X-Request-Id"), ownerProbeID) {
+				ownedMu.Lock()
+				owned[i]++
+				ownedMu.Unlock()
+				w.Write([]byte("{}"))
+				return
+			}
+			h.ServeHTTP(w, r)
+		}))
+		urls[i] = backends[i].URL
+		defer backends[i].Close()
+	}
+	// The victim must own keys. The ring hashes backend URLs (ephemeral
+	// ports), so a fixed victim index sometimes names a shard that owns
+	// none of the sources: no request fails into it, its breaker never
+	// opens, and the flight-recorder check below has nothing to catch.
+	// Kill the shard owning the most sources instead.
+	victim := ringOwner(t, urls, srcs, owned, &ownedMu)
+
 	reg, err := faults.ParseSpec(fmt.Sprintf("seed=%d;router.forward=error:0.05", chaosSeedRouter()))
 	if err != nil {
 		t.Fatal(err)
@@ -76,15 +104,6 @@ void f%d() { take(&p%d); }
 	faults.Arm(reg)
 	t.Cleanup(faults.Disarm)
 
-	servers := make([]*serve.Server, 3)
-	backends := make([]*httptest.Server, 3)
-	urls := make([]string, 3)
-	for i := range servers {
-		servers[i] = serve.New(serve.Options{MaxConcurrent: 4, MaxQueue: 64})
-		backends[i] = httptest.NewServer(servers[i].Handler())
-		urls[i] = backends[i].URL
-		defer backends[i].Close()
-	}
 	// Flight-recorder dumps land where CI can collect them on failure
 	// (PIP_CHAOS_DUMPDIR), or in a throwaway dir otherwise.
 	dumpDir := os.Getenv("PIP_CHAOS_DUMPDIR")
@@ -140,8 +159,8 @@ void f%d() { take(&p%d); }
 		if r == rounds/2 {
 			// Kill a live shard mid-load: cut its connections (in-flight
 			// forwards fail over) and stop accepting new ones.
-			backends[1].CloseClientConnections()
-			backends[1].Close()
+			backends[victim].CloseClientConnections()
+			backends[victim].Close()
 			close(killed)
 		}
 	}
@@ -222,7 +241,7 @@ void f%d() { take(&p%d); }
 		}
 		found := false
 		for _, d := range flight.Dumps {
-			if d.Reason == "breaker.open" && strings.Contains(d.Detail, urls[1]) {
+			if d.Reason == "breaker.open" && strings.Contains(d.Detail, urls[victim]) {
 				found = true
 				if d.File == "" {
 					t.Fatal("breaker.open dump has no on-disk file despite FlightDir")
@@ -236,10 +255,53 @@ void f%d() { take(&p%d); }
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no flight-recorder dump names the killed backend %s (dumps: %+v)", urls[1], flight.Dumps)
+			t.Fatalf("no flight-recorder dump names the killed backend %s (dumps: %+v)", urls[victim], flight.Dumps)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// ownerProbeID prefixes the request IDs of ringOwner's probes; the
+// chaos backends answer those themselves, without solving.
+const ownerProbeID = "owner-probe-"
+
+// ringOwner returns the index of the backend owning the most srcs on a
+// router over urls. It routes one tagged probe per source through a
+// throwaway router — ring placement depends only on the backend URLs, so
+// ownership carries over to any router with the same backends — and
+// reads which backend each probe reached from owned.
+func ringOwner(t *testing.T, urls, srcs []string, owned []int, mu *sync.Mutex) int {
+	t.Helper()
+	rt := serve.NewRouter(serve.RouterOptions{
+		Backends: urls,
+		Probe:    serve.ProbeOptions{Disabled: true},
+		Hedge:    serve.HedgeOptions{Disabled: true},
+	})
+	defer rt.Close()
+	ts := httptest.NewServer(rt.Handler())
+	defer ts.Close()
+	for i, src := range srcs {
+		body, _ := json.Marshal(map[string]string{"c": src})
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/solve", strings.NewReader(string(body)))
+		req.Header.Set("X-Request-Id", fmt.Sprintf("%s%d", ownerProbeID, i))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("ownership probe %d: %v", i, err)
+		}
+		resp.Body.Close()
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	best := 0
+	for i, n := range owned {
+		if n > owned[best] {
+			best = i
+		}
+	}
+	if owned[best] == 0 {
+		t.Fatalf("ownership probes reached no backend: %v", owned)
+	}
+	return best
 }
 
 // TestChaosStoreFaults hammers the persistent store's fault points:

@@ -17,9 +17,9 @@ import (
 //
 // An Arena is NOT safe for concurrent use: at most one solve may use it at
 // a time. The intended owners are engine worker goroutines, each holding
-// one arena across all jobs it processes. Passing a nil arena to
-// SolveTracedIn borrows one from an internal sync.Pool for the duration of
-// the solve. All state is reset when a solve acquires the arena, never
+// one arena across all jobs it processes. A solve whose
+// SolveOptions.Arena is nil borrows one from an internal sync.Pool for the
+// duration of the solve. All state is reset when a solve acquires the arena, never
 // when it finishes, so a solve that panics (or is abandoned by a watchdog
 // while still running) can never hand dirty or in-use state to the next
 // solve.
@@ -48,7 +48,7 @@ type Arena struct {
 	wlQueue   []VarID
 }
 
-// NewArena returns an empty arena ready for SolveTracedIn. Engine workers
+// NewArena returns an empty arena ready for SolveOptions.Arena. Engine workers
 // create one per goroutine and reuse it across jobs.
 func NewArena() *Arena { return &Arena{} }
 

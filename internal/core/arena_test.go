@@ -1,10 +1,6 @@
 package core
 
-import (
-	"testing"
-
-	"github.com/pip-analysis/pip/internal/obs"
-)
+import "testing"
 
 // TestArenaReuseGrowing solves a small problem and then a larger one on
 // one Arena, the way an engine worker reuses its arena across jobs. The
@@ -20,11 +16,11 @@ func TestArenaReuseGrowing(t *testing.T) {
 		if p.NumVars() != n {
 			t.Fatalf("generated %d variables, want %d", p.NumVars(), n)
 		}
-		got, err := SolveTracedIn(p, cfg, obs.Track{}, ar)
+		got, err := Solve(p, cfg, SolveOptions{Arena: ar})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		want, err := SolveTracedIn(p, cfg, obs.Track{}, NewArena())
+		want, err := Solve(p, cfg, SolveOptions{Arena: NewArena()})
 		if err != nil {
 			t.Fatalf("n=%d: fresh arena: %v", n, err)
 		}

@@ -3,10 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/pip-analysis/pip/internal/bitset"
-	"github.com/pip-analysis/pip/internal/obs"
 )
 
 // This file implements checkpointed solves: the split between "constraint
@@ -133,70 +131,45 @@ func captureCheckpoint(s *solver) *Checkpoint {
 	return ck
 }
 
-// SolveCheckpointed is SolveTracedIn that additionally captures a resume
-// checkpoint when the configuration is Resumable and the solve completed
-// exactly (a degraded solve has no propagation state worth keeping). The
-// checkpoint is nil otherwise; the solution is always valid.
-func SolveCheckpointed(prob *Problem, cfg Config, tk obs.Track, ar *Arena) (*Solution, *Checkpoint, error) {
-	var ck *Checkpoint
-	var capture func(*solver)
-	if Resumable(cfg) {
-		capture = func(s *solver) { ck = captureCheckpoint(s) }
-	}
-	sol, err := solveTracedCapture(prob, cfg, tk, ar, capture)
-	if err != nil {
-		return nil, nil, err
-	}
-	if sol.Degraded {
-		ck = nil
-	}
-	return sol, ck, nil
-}
-
 // ResumeAdded solves prob — the checkpointed problem plus the added
 // constraints described by d — by restoring the checkpoint and draining
-// only from the additions. d must be the summary delta from the
-// checkpointed problem to prob and must be Monotone. On success it
-// returns the solution (bit-identical to a from-scratch solve of prob)
-// and a new checkpoint for the next generation.
+// only from the additions, through the same lifecycle as Solve. d must be
+// the summary delta from the checkpointed problem to prob and must be
+// Monotone. The solution is bit-identical to a from-scratch solve of
+// prob; opts.Checkpoint, when set, receives the checkpoint for the next
+// generation.
 //
 // ErrNotResumable is returned (wrapped) when the delta cannot be resumed:
-// non-monotone edits, or a grown variable universe under the explicit-Ω
+// non-monotone edits, a grown variable universe under the explicit-Ω
 // representation (Ω's id is the variable count, so appending variables
-// would shift it out from under the snapshot).
-func (ck *Checkpoint) ResumeAdded(prob *Problem, d *SummaryDelta, tk obs.Track, ar *Arena) (*Solution, *Checkpoint, error) {
-	if !d.Monotone() {
-		return nil, nil, fmt.Errorf("%w: delta removes or retypes constraints", ErrNotResumable)
+// would shift it out from under the snapshot), or demand roots (a slice
+// is not the checkpointed problem).
+func (ck *Checkpoint) ResumeAdded(prob *Problem, d *SummaryDelta, opts SolveOptions) (*Solution, error) {
+	if opts.Checkpoint != nil {
+		*opts.Checkpoint = nil
 	}
-	if prob.NumVars() < ck.nvars {
-		return nil, nil, fmt.Errorf("%w: variable universe shrank", ErrNotResumable)
+	switch {
+	case !d.Monotone():
+		return nil, fmt.Errorf("%w: delta removes or retypes constraints", ErrNotResumable)
+	case prob.NumVars() < ck.nvars:
+		return nil, fmt.Errorf("%w: variable universe shrank", ErrNotResumable)
+	case ck.cfg.Rep == EP && prob.NumVars() != ck.nvars:
+		return nil, fmt.Errorf("%w: variable universe grew under the explicit-Ω representation", ErrNotResumable)
+	case len(opts.Demand) > 0:
+		return nil, fmt.Errorf("%w: demand roots", ErrNotResumable)
 	}
-	if ck.cfg.Rep == EP && prob.NumVars() != ck.nvars {
-		return nil, nil, fmt.Errorf("%w: variable universe grew under the explicit-Ω representation", ErrNotResumable)
-	}
-	if err := prob.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if ar == nil {
-		pooled := arenaPool.Get().(*Arena)
-		defer arenaPool.Put(pooled)
-		ar = pooled
-	}
-	start := time.Now()
-	s := newSolver(prob, ck.cfg, ar)
-	s.tk = tk
-	span := tk.Begin("resume",
-		obs.S("config", ck.cfg.String()),
-		obs.N("vars", int64(prob.NumVars())),
-		obs.N("added", int64(d.Added())))
+	return solve(prob, ck.cfg, opts, ck, d)
+}
 
-	// Restore the converged propagation state. Points-to and successor
-	// sets are shared copy-on-write: the drain clones a set the moment it
-	// first mutates it (ptsOf/ownSucc/addSucc), so the checkpoint and its
-	// Solution stay valid while a small edit only pays for the handful of
-	// sets it actually changes. The flat tables copy over the snapshot
-	// prefix — appended variables (IP mode) keep their zero state and are
-	// populated by the added constraints.
+// resume is phase 2 of a resumed solve: restore the converged
+// propagation state, re-seed, and drain from the additions in d.
+func (s *solver) resume(ck *Checkpoint, d *SummaryDelta) {
+	// Points-to and successor sets are shared copy-on-write: the drain
+	// clones a set the moment it first mutates it (ptsOf/ownSucc/addSucc),
+	// so the checkpoint and its Solution stay valid while a small edit
+	// only pays for the handful of sets it actually changes. The flat
+	// tables copy over the snapshot prefix — appended variables (IP mode)
+	// keep their zero state and are populated by the added constraints.
 	s.ptsShared = make([]bool, s.n)
 	s.succShared = make([]bool, s.n)
 	for i, set := range ck.pts {
@@ -211,17 +184,6 @@ func (ck *Checkpoint) ResumeAdded(prob *Problem, d *SummaryDelta, tk obs.Track, 
 			s.succShared[i] = true
 		}
 	}
-	// The arena's succ table now aliases checkpoint-owned sets.
-	// captureCheckpoint detaches every non-empty slot; this defer also
-	// detaches them on abort, error, or panic, so the next solve's
-	// in-place arena reset can never clear a live checkpoint's sets.
-	defer func() {
-		for i, sh := range s.succShared {
-			if sh {
-				s.succ[i] = nil
-			}
-		}
-	}()
 	copy(s.repFlags, ck.repFlags)
 	copy(s.external, ck.external)
 	copy(s.impFunc, ck.impFunc)
@@ -229,43 +191,32 @@ func (ck *Checkpoint) ResumeAdded(prob *Problem, d *SummaryDelta, tk obs.Track, 
 	// The worklist must exist before seeding: unlike a from-scratch solve
 	// (whose initial push-all covers everything), resume relies on the
 	// enqueues that seed-time inferences make for newly flagged variables.
-	if ck.cfg.Solver != Naive {
-		s.wl = newWorklist(ck.cfg.Order, s)
+	if s.cfg.Solver != Naive {
+		s.wl = newWorklist(s.cfg.Order, s)
 	}
 	// Re-seed from the full new problem. All set/flag installs are
 	// idempotent on the restored state (no counters move, nothing is
 	// re-enqueued for old facts), while the attachment tables
-	// (loadTo/storeFrom/callsAt/funcsAt) — arena scratch, reset above —
-	// are rebuilt completely, landing at the same indices as the original
-	// solve because representatives are the identity.
+	// (loadTo/storeFrom/callsAt/funcsAt) — arena scratch, reset by
+	// newSolver — are rebuilt completely, landing at the same indices as
+	// the original solve because representatives are the identity.
 	s.seed()
 	s.seedResume(d)
-	switch ck.cfg.Solver {
+	switch s.cfg.Solver {
 	case Naive:
 		s.solveNaive()
 	default:
 		s.drainWorklist()
 	}
-	span.End(obs.N("firings", s.fired), obs.N("visits", int64(s.stats.Visits)))
-	ar.iterBuf = s.iterBuf[:0]
-	s.recycleWorklist()
-	s.tel.Propagate = time.Since(start)
-	var sol *Solution
-	var next *Checkpoint
-	if s.aborted {
-		// Zero budget means this only happens under fault injection; keep
-		// the same sound degradation contract as the from-scratch path.
-		sol = degradedSolution(prob)
-		sol.Stats = s.stats
-		sol.Stats.ExplicitPointees = 0
-	} else {
-		sol = s.finish()
-		next = captureCheckpoint(s)
+}
+
+// detachShared drops the arena succ slots still aliasing checkpoint sets.
+func (s *solver) detachShared() {
+	for i, sh := range s.succShared {
+		if sh {
+			s.succ[i] = nil
+		}
 	}
-	s.tel.Degraded = sol.Degraded
-	sol.Telemetry = s.tel
-	sol.Stats.Duration = time.Since(start)
-	return sol, next, nil
 }
 
 // kick schedules v's representative for a full revisit.

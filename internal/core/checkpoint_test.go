@@ -1,11 +1,26 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
-
-	"github.com/pip-analysis/pip/internal/obs"
 )
+
+// solveCheckpointed is a from-scratch Solve that also returns the
+// checkpoint it captured.
+func solveCheckpointed(p *Problem, cfg Config) (*Solution, *Checkpoint, error) {
+	var ck *Checkpoint
+	sol, err := Solve(p, cfg, SolveOptions{Checkpoint: &ck})
+	return sol, ck, err
+}
+
+// resumeAdded is ck.ResumeAdded returning the next generation's
+// checkpoint alongside the solution.
+func resumeAdded(ck *Checkpoint, p *Problem, d *SummaryDelta) (*Solution, *Checkpoint, error) {
+	var next *Checkpoint
+	sol, err := ck.ResumeAdded(p, d, SolveOptions{Checkpoint: &next})
+	return sol, next, err
+}
 
 // resumableConfigs are the configuration cells the checkpoint tests sweep:
 // every Resumable combination axis that matters (representation ×
@@ -123,7 +138,7 @@ func TestResumeMatchesScratch(t *testing.T) {
 		t.Run(cfg.String(), func(t *testing.T) {
 			for seed := int64(1); seed <= 5; seed++ {
 				p0 := genCheckpointProblem(seed, 64)
-				sol0, ck, err := SolveCheckpointed(p0, cfg, obs.Track{}, nil)
+				sol0, ck, err := solveCheckpointed(p0, cfg)
 				if err != nil {
 					t.Fatalf("seed %d: checkpointed solve: %v", seed, err)
 				}
@@ -140,7 +155,7 @@ func TestResumeMatchesScratch(t *testing.T) {
 				if !d.Monotone() {
 					t.Fatalf("seed %d: grown delta should be monotone", seed)
 				}
-				sol1, ck1, err := ck.ResumeAdded(p1, d, obs.Track{}, nil)
+				sol1, ck1, err := resumeAdded(ck, p1, d)
 				if err != nil {
 					t.Fatalf("seed %d: resume: %v", seed, err)
 				}
@@ -155,7 +170,7 @@ func TestResumeMatchesScratch(t *testing.T) {
 				// Chain a second generation off the resumed checkpoint.
 				p2 := growProblem(p1, seed*31337, false)
 				d12 := DiffSummaries(BuildSummary(p1), BuildSummary(p2))
-				sol2, _, err := ck1.ResumeAdded(p2, d12, obs.Track{}, nil)
+				sol2, _, err := resumeAdded(ck1, p2, d12)
 				if err != nil {
 					t.Fatalf("seed %d: second resume: %v", seed, err)
 				}
@@ -173,7 +188,7 @@ func TestResumeMatchesScratch(t *testing.T) {
 func TestResumeRejects(t *testing.T) {
 	p0 := genCheckpointProblem(7, 64)
 	cfg := Config{Rep: EP, Solver: Worklist}
-	_, ck, err := SolveCheckpointed(p0, cfg, obs.Track{}, nil)
+	_, ck, err := solveCheckpointed(p0, cfg)
 	if err != nil || ck == nil {
 		t.Fatalf("checkpointed solve: ck=%v err=%v", ck, err)
 	}
@@ -185,7 +200,7 @@ func TestResumeRejects(t *testing.T) {
 	if d.Monotone() {
 		t.Fatal("removal delta should not be monotone")
 	}
-	if _, _, err := ck.ResumeAdded(p1, d, obs.Track{}, nil); err == nil {
+	if _, _, err := resumeAdded(ck, p1, d); err == nil {
 		t.Fatal("resume of a non-monotone delta should fail")
 	}
 
@@ -196,8 +211,20 @@ func TestResumeRejects(t *testing.T) {
 	if !d2.Monotone() {
 		t.Fatal("append delta should be monotone")
 	}
-	if _, _, err := ck.ResumeAdded(p2, d2, obs.Track{}, nil); err == nil {
+	if _, _, err := resumeAdded(ck, p2, d2); err == nil {
 		t.Fatal("EP resume with a grown universe should fail")
+	}
+
+	// Demand roots → rejected: a slice is not the checkpointed problem.
+	// Neither path hands out a checkpoint, even into a stale variable.
+	next := ck
+	dAdd := DiffSummaries(BuildSummary(p0), BuildSummary(p0))
+	if _, err := ck.ResumeAdded(p0, dAdd, SolveOptions{Demand: []VarID{0}, Checkpoint: &next}); !errors.Is(err, ErrNotResumable) || next != nil {
+		t.Fatalf("demand resume: err=%v next=%v, want ErrNotResumable and no checkpoint", err, next)
+	}
+	next = ck
+	if _, err := Solve(p0, cfg, SolveOptions{Demand: []VarID{0}, Checkpoint: &next}); err != nil || next != nil {
+		t.Fatalf("demand solve: err=%v next=%v, want no checkpoint", err, next)
 	}
 
 	// Non-resumable configs yield no checkpoint.
@@ -213,7 +240,7 @@ func TestResumeRejects(t *testing.T) {
 		if Resumable(bad) {
 			t.Fatalf("config %s should not be resumable", bad.String())
 		}
-		_, ck, err := SolveCheckpointed(p0, bad, obs.Track{}, nil)
+		_, ck, err := solveCheckpointed(p0, bad)
 		if err != nil {
 			t.Fatalf("config %s: %v", bad.String(), err)
 		}

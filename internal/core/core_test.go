@@ -44,7 +44,7 @@ func solSet(t *testing.T, sol *Solution, v VarID) map[VarID]bool {
 func TestFigure3AllConfigs(t *testing.T) {
 	for _, cfg := range AllConfigs() {
 		prob, ids := buildFigure3(t)
-		sol, err := Solve(prob, cfg)
+		sol, err := Solve(prob, cfg, SolveOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", cfg, err)
 		}
@@ -104,7 +104,7 @@ func buildFigure1(t *testing.T) (*Problem, map[string]VarID) {
 func TestFigure1Semantics(t *testing.T) {
 	for _, cfg := range AllConfigs() {
 		prob, ids := buildFigure1(t)
-		sol, err := Solve(prob, cfg)
+		sol, err := Solve(prob, cfg, SolveOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", cfg, err)
 		}
@@ -241,7 +241,7 @@ func TestAllConfigsAgreeWithReference(t *testing.T) {
 	for pi, prob := range problems {
 		want := ReferenceSolve(prob)
 		for _, cfg := range configs {
-			sol, err := Solve(prob, cfg)
+			sol, err := Solve(prob, cfg, SolveOptions{})
 			if err != nil {
 				t.Fatalf("problem %d, %s: %v", pi, cfg, err)
 			}
@@ -271,7 +271,7 @@ func TestLargerRandomAgreement(t *testing.T) {
 		prob := randomProblem(seed, 120, 300)
 		want := ReferenceSolve(prob)
 		for _, cfg := range configs {
-			sol, err := Solve(prob, cfg)
+			sol, err := Solve(prob, cfg, SolveOptions{})
 			if err != nil {
 				t.Fatalf("seed %d, %s: %v", seed, cfg, err)
 			}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"github.com/pip-analysis/pip/internal/bitset"
-	"github.com/pip-analysis/pip/internal/obs"
 )
 
 // TestCopyOnWriteAccessors pins the clone-before-mutate contract of the
@@ -121,7 +120,7 @@ func TestResumeSharesCheckpointState(t *testing.T) {
 		{Rep: IP, Solver: Worklist, Order: FIFO},
 	} {
 		base := genCheckpointProblem(11, 96)
-		sol0, ck, err := SolveCheckpointed(base, cfg, obs.Track{}, nil)
+		sol0, ck, err := solveCheckpointed(base, cfg)
 		if err != nil || ck == nil {
 			t.Fatalf("%s: checkpointed solve: %v", cfg, err)
 		}
@@ -144,7 +143,7 @@ func TestResumeSharesCheckpointState(t *testing.T) {
 		want := MustSolve(edited, cfg).Fingerprint()
 		var prev string
 		for trial := 0; trial < 3; trial++ {
-			sol, next, err := ck.ResumeAdded(edited, d, obs.Track{}, nil)
+			sol, next, err := resumeAdded(ck, edited, d)
 			if err != nil {
 				t.Fatalf("%s trial %d: resume: %v", cfg, trial, err)
 			}
@@ -165,7 +164,7 @@ func TestResumeSharesCheckpointState(t *testing.T) {
 				q := grown.AddVar("q", Register, true)
 				grown.AddBase(q, m)
 				d2 := DiffSummaries(BuildSummary(edited), BuildSummary(grown))
-				sol2, _, err := next.ResumeAdded(grown, d2, obs.Track{}, nil)
+				sol2, _, err := resumeAdded(next, grown, d2)
 				if err != nil {
 					t.Fatalf("%s: chained resume: %v", cfg, err)
 				}

@@ -34,32 +34,18 @@ type DemandStats struct {
 	TotalConstraints    int `json:"total_constraints"`
 }
 
-// DemandResult is the outcome of a demand-driven solve: a Solution over
-// the full variable universe in which explored variables carry their
-// exact full-solve answers and unexplored variables answer Ω (escaped,
-// points-to-external, no explicit pointees).
-type DemandResult struct {
-	Sol *Solution
-	// Explored[v] reports whether v's component was solved; unexplored
-	// variables answer the sound Ω top element.
-	Explored []bool
-	Stats    DemandStats
-}
-
-// SolveDemand solves prob only as far as needed to answer queries about
-// the given root pointers. See SolveDemandTraced.
-func SolveDemand(prob *Problem, cfg Config, roots []VarID) (*DemandResult, error) {
-	return SolveDemandTraced(prob, cfg, roots, obs.Track{}, nil)
-}
-
-// SolveDemandTraced runs a demand-driven solve: it computes the
-// constraint components backward- and forward-reachable from roots (they
-// coincide — components are undirected), solves the filtered problem
-// containing only those components, and patches every unexplored variable
-// to the sound Ω answer. Budget exhaustion degrades exactly like a full
+// solveDemand runs a demand-driven solve (SolveOptions.Demand): it
+// computes the constraint components backward- and forward-reachable from
+// the roots (they coincide — components are undirected), solves the
+// filtered problem containing only those components, and patches every
+// unexplored variable to the sound Ω answer. The solution covers the full
+// variable universe and reports the slice through Solution.Demand and
+// Solution.Explored. Budget exhaustion degrades exactly like a full
 // solve: the result is the all-Ω degraded solution, which is ⊒ every
-// exact answer.
-func SolveDemandTraced(prob *Problem, cfg Config, roots []VarID, tk obs.Track, ar *Arena) (*DemandResult, error) {
+// exact answer. A slice's state cannot resume the full problem, so no
+// checkpoint is captured.
+func solveDemand(prob *Problem, cfg Config, opts SolveOptions) (*Solution, error) {
+	roots := opts.Demand
 	n := prob.NumVars()
 	for _, r := range roots {
 		if int(r) >= n {
@@ -123,33 +109,30 @@ func SolveDemandTraced(prob *Problem, cfg Config, roots []VarID, tk obs.Track, a
 			exploredVars++
 		}
 	}
-	span := tk.Begin("demand",
+	span := opts.Trace.Begin("demand",
 		obs.N("roots", int64(len(roots))),
 		obs.N("explored_vars", int64(exploredVars)),
 		obs.N("vars", int64(n)))
-	sol, err := SolveTracedIn(q, cfg, tk, ar)
+	sol, err := solve(q, cfg, SolveOptions{Trace: opts.Trace, Arena: opts.Arena}, nil, nil)
 	span.End()
 	if err != nil {
 		return nil, err
 	}
-	res := &DemandResult{
-		Sol:      sol,
-		Explored: explored,
-		Stats: DemandStats{
-			ExploredVars:        exploredVars,
-			TotalVars:           n,
-			ExploredConstraints: kept,
-			TotalConstraints:    prob.NumConstraints(),
-		},
-	}
 	// Queries must resolve against the original problem (its names; the
 	// variable universe is shared by construction).
 	sol.p = prob
+	sol.explored = explored
+	sol.demand = &DemandStats{
+		ExploredVars:        exploredVars,
+		TotalVars:           n,
+		ExploredConstraints: kept,
+		TotalConstraints:    prob.NumConstraints(),
+	}
 	if sol.Degraded {
 		// Budget exhausted mid-slice: the degraded solution is already the
 		// all-Ω top element over the full universe — soundly ⊒ both the
 		// explored and unexplored answers.
-		return res, nil
+		return sol, nil
 	}
 	// Patch unexplored variables to Ω: escaped, pointing externally, no
 	// explicit pointees. Post-solve set surgery is safe because nothing
@@ -173,7 +156,7 @@ func SolveDemandTraced(prob *Problem, cfg Config, roots []VarID, tk obs.Track, a
 			sol.pointsExt[sol.rep(id)] = true
 		}
 	}
-	return res, nil
+	return sol, nil
 }
 
 func varsExplored(explored []bool, ret VarID, args []VarID) bool {

@@ -22,18 +22,18 @@ func demandConfigs() []Config {
 // assertDemandMatches checks the demand contract against a full reference
 // solution: exact equality on explored variables, exactly Ω on unexplored
 // ones.
-func assertDemandMatches(t *testing.T, res *DemandResult, ref *Solution, label string) {
+func assertDemandMatches(t *testing.T, sol *Solution, ref *Solution, label string) {
 	t.Helper()
 	n := ref.NumVars()
 	for v := VarID(0); int(v) < n; v++ {
-		if res.Explored[v] {
-			if got, want := res.Sol.PointsToExternal(v), ref.PointsToExternal(v); got != want {
+		if sol.Explored(v) {
+			if got, want := sol.PointsToExternal(v), ref.PointsToExternal(v); got != want {
 				t.Fatalf("%s: var %d explored: PointsToExternal=%v want %v", label, v, got, want)
 			}
-			if got, want := res.Sol.Escaped(v), ref.Escaped(v); got != want {
+			if got, want := sol.Escaped(v), ref.Escaped(v); got != want {
 				t.Fatalf("%s: var %d explored: Escaped=%v want %v", label, v, got, want)
 			}
-			got, want := res.Sol.Explicit(v), ref.Explicit(v)
+			got, want := sol.Explicit(v), ref.Explicit(v)
 			if len(got) != len(want) {
 				t.Fatalf("%s: var %d explored: explicit %v want %v", label, v, got, want)
 			}
@@ -43,13 +43,13 @@ func assertDemandMatches(t *testing.T, res *DemandResult, ref *Solution, label s
 				}
 			}
 		} else {
-			if !res.Sol.Escaped(v) {
+			if !sol.Escaped(v) {
 				t.Fatalf("%s: var %d unexplored but not escaped", label, v)
 			}
-			if ref.Problem().PtrCompat[v] && !res.Sol.PointsToExternal(v) {
+			if ref.Problem().PtrCompat[v] && !sol.PointsToExternal(v) {
 				t.Fatalf("%s: var %d unexplored but not pointing externally", label, v)
 			}
-			if ex := res.Sol.Explicit(v); len(ex) != 0 {
+			if ex := sol.Explicit(v); len(ex) != 0 {
 				t.Fatalf("%s: var %d unexplored with explicit pointees %v", label, v, ex)
 			}
 		}
@@ -71,20 +71,20 @@ func TestDemandMatchesExhaustive(t *testing.T) {
 					if trial == 3 {
 						roots = append(roots, VarID(rng.Intn(p.NumVars())))
 					}
-					res, err := SolveDemand(p, cfg, roots)
+					sol, err := Solve(p, cfg, SolveOptions{Demand: roots})
 					if err != nil {
 						t.Fatalf("seed %d: demand: %v", seed, err)
 					}
 					for _, r := range roots {
-						if !res.Explored[r] {
+						if !sol.Explored(r) {
 							t.Fatalf("seed %d: root %d not explored", seed, r)
 						}
 					}
-					if res.Stats.ExploredVars > res.Stats.TotalVars ||
-						res.Stats.ExploredConstraints > res.Stats.TotalConstraints {
-						t.Fatalf("seed %d: inconsistent stats %+v", seed, res.Stats)
+					if st := sol.Demand(); st.ExploredVars > st.TotalVars ||
+						st.ExploredConstraints > st.TotalConstraints {
+						t.Fatalf("seed %d: inconsistent stats %+v", seed, st)
 					}
-					assertDemandMatches(t, res, ref, cfg.String())
+					assertDemandMatches(t, sol, ref, cfg.String())
 				}
 			}
 		})
@@ -101,31 +101,33 @@ func TestDemandUnreferencedRoot(t *testing.T) {
 	lone := p.AddVar("lone", Register, true)
 	p.AddBase(a, m)
 	cfg := Config{Rep: IP, Solver: Worklist}
-	res, err := SolveDemand(p, cfg, []VarID{lone})
+	sol, err := Solve(p, cfg, SolveOptions{Demand: []VarID{lone}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Explored[lone] || res.Explored[a] || res.Explored[m] {
-		t.Fatalf("unexpected exploration mask %v", res.Explored)
+	if !sol.Explored(lone) || sol.Explored(a) || sol.Explored(m) {
+		t.Fatalf("unexpected exploration mask %v", sol.explored)
 	}
-	if res.Sol.PointsToExternal(lone) || res.Sol.Escaped(lone) {
+	if sol.PointsToExternal(lone) || sol.Escaped(lone) {
 		t.Fatal("constraint-free root should have the exact empty answer")
 	}
-	if !res.Sol.Escaped(a) || !res.Sol.PointsToExternal(a) {
+	if !sol.Escaped(a) || !sol.PointsToExternal(a) {
 		t.Fatal("unexplored variable should answer Ω")
 	}
 
-	none, err := SolveDemand(p, cfg, nil)
+	// An empty root list selects an exhaustive Solve, so the rootless
+	// slice is reachable only through the demand path itself.
+	none, err := solveDemand(p, cfg, SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := VarID(0); int(v) < p.NumVars(); v++ {
-		if none.Explored[v] {
+		if none.Explored(v) {
 			t.Fatalf("no-root demand explored %d", v)
 		}
 	}
 
-	if _, err := SolveDemand(p, cfg, []VarID{VarID(99)}); err == nil {
+	if _, err := Solve(p, cfg, SolveOptions{Demand: []VarID{VarID(99)}}); err == nil {
 		t.Fatal("out-of-range root should error")
 	}
 }
@@ -135,18 +137,18 @@ func TestDemandUnreferencedRoot(t *testing.T) {
 func TestDemandDegradedIsSound(t *testing.T) {
 	p := genCheckpointProblem(3, 96)
 	cfg := Config{Rep: IP, Solver: Worklist, Budget: Budget{Firings: 5}}
-	res, err := SolveDemand(p, cfg, []VarID{0})
+	sol, err := Solve(p, cfg, SolveOptions{Demand: []VarID{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Sol.Degraded {
+	if !sol.Degraded {
 		t.Skip("budget did not exhaust at this scale")
 	}
 	for v := VarID(0); int(v) < p.NumVars(); v++ {
-		if !res.Sol.Escaped(v) {
+		if !sol.Escaped(v) {
 			t.Fatalf("degraded demand: var %d not escaped", v)
 		}
-		if p.PtrCompat[v] && !res.Sol.PointsToExternal(v) {
+		if p.PtrCompat[v] && !sol.PointsToExternal(v) {
 			t.Fatalf("degraded demand: var %d not pointing externally", v)
 		}
 	}

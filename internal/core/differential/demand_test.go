@@ -12,16 +12,16 @@ import (
 // FuzzDemandSlice target: explored variables must answer exactly like the
 // full reference solution, unexplored ones exactly Ω (escaped, pointing
 // externally when pointer-compatible, no explicit pointees).
-func checkDemand(p *core.Problem, res *core.DemandResult, ref *core.Solution) error {
+func checkDemand(p *core.Problem, sol *core.Solution, ref *core.Solution) error {
 	for v := core.VarID(0); int(v) < p.NumVars(); v++ {
-		if res.Explored[v] {
-			if got, want := res.Sol.PointsToExternal(v), ref.PointsToExternal(v); got != want {
+		if sol.Explored(v) {
+			if got, want := sol.PointsToExternal(v), ref.PointsToExternal(v); got != want {
 				return fmt.Errorf("var %d explored: PointsToExternal=%v want %v", v, got, want)
 			}
-			if got, want := res.Sol.Escaped(v), ref.Escaped(v); got != want {
+			if got, want := sol.Escaped(v), ref.Escaped(v); got != want {
 				return fmt.Errorf("var %d explored: Escaped=%v want %v", v, got, want)
 			}
-			got, want := res.Sol.Explicit(v), ref.Explicit(v)
+			got, want := sol.Explicit(v), ref.Explicit(v)
 			if len(got) != len(want) {
 				return fmt.Errorf("var %d explored: explicit %v want %v", v, got, want)
 			}
@@ -32,13 +32,13 @@ func checkDemand(p *core.Problem, res *core.DemandResult, ref *core.Solution) er
 			}
 			continue
 		}
-		if !res.Sol.Escaped(v) {
+		if !sol.Escaped(v) {
 			return fmt.Errorf("var %d unexplored but not escaped", v)
 		}
-		if p.PtrCompat[v] && !res.Sol.PointsToExternal(v) {
+		if p.PtrCompat[v] && !sol.PointsToExternal(v) {
 			return fmt.Errorf("var %d unexplored but not pointing externally", v)
 		}
-		if ex := res.Sol.Explicit(v); len(ex) != 0 {
+		if ex := sol.Explicit(v); len(ex) != 0 {
 			return fmt.Errorf("var %d unexplored with explicit pointees %v", v, ex)
 		}
 	}
@@ -62,16 +62,16 @@ func TestDemandOracleRepresentative(t *testing.T) {
 					if trial == 2 {
 						roots = append(roots, core.VarID(rng.Intn(p.NumVars())))
 					}
-					res, err := core.SolveDemand(p, cfg, roots)
+					sol, err := core.Solve(p, cfg, core.SolveOptions{Demand: roots})
 					if err != nil {
 						t.Fatalf("seed %d: %v", seed, err)
 					}
 					for _, r := range roots {
-						if !res.Explored[r] {
+						if !sol.Explored(r) {
 							t.Fatalf("seed %d: root %d not explored", seed, r)
 						}
 					}
-					if err := checkDemand(p, res, ref); err != nil {
+					if err := checkDemand(p, sol, ref); err != nil {
 						t.Fatalf("seed %d roots %v: %v", seed, roots, err)
 					}
 				}
@@ -97,25 +97,25 @@ func TestDemandBudgetExhaustion(t *testing.T) {
 	for _, cfg := range configs {
 		ref := core.MustSolve(p, cfg)
 		cfg.Budget = core.Budget{Firings: 7}
-		res, err := core.SolveDemand(p, cfg, []core.VarID{0, 1})
+		sol, err := core.Solve(p, cfg, core.SolveOptions{Demand: []core.VarID{0, 1}})
 		if err != nil {
 			t.Fatalf("%s: %v", cfg, err)
 		}
-		if !res.Sol.Degraded {
+		if !sol.Degraded {
 			t.Fatalf("%s: firing cap 7 did not degrade a default-shape problem", cfg)
 		}
 		for v := core.VarID(0); int(v) < p.NumVars(); v++ {
-			if ref.Escaped(v) && !res.Sol.Escaped(v) {
+			if ref.Escaped(v) && !sol.Escaped(v) {
 				t.Fatalf("%s: degraded demand dropped escape of var %d", cfg, v)
 			}
-			if ref.PointsToExternal(v) && !res.Sol.PointsToExternal(v) {
+			if ref.PointsToExternal(v) && !sol.PointsToExternal(v) {
 				t.Fatalf("%s: degraded demand dropped external pointee of var %d", cfg, v)
 			}
-			if res.Sol.Escaped(v) {
+			if sol.Escaped(v) {
 				continue // Ω answer covers any explicit set
 			}
 			got := map[core.VarID]bool{}
-			for _, x := range res.Sol.Explicit(v) {
+			for _, x := range sol.Explicit(v) {
 				got[x] = true
 			}
 			for _, x := range ref.Explicit(v) {

@@ -109,7 +109,7 @@ type outcome struct {
 
 func solveCell(p *core.Problem, cfg core.Config, firings int64) outcome {
 	cfg.Budget = core.Budget{Firings: firings}
-	sol, err := core.Solve(p, cfg)
+	sol, err := core.Solve(p, cfg, core.SolveOptions{})
 	if err != nil {
 		return outcome{err: err.Error()}
 	}

@@ -71,11 +71,11 @@ func TestDifferentialDense(t *testing.T) {
 func TestDifferentialGenDeterminism(t *testing.T) {
 	a := Generate(3, DefaultGen())
 	b := Generate(3, DefaultGen())
-	sa, err := core.Solve(a, core.Config{Rep: core.IP, Solver: core.Worklist})
+	sa, err := core.Solve(a, core.Config{Rep: core.IP, Solver: core.Worklist}, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sb, err := core.Solve(b, core.Config{Rep: core.IP, Solver: core.Worklist})
+	sb, err := core.Solve(b, core.Config{Rep: core.IP, Solver: core.Worklist}, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestDifferentialGenDeterminism(t *testing.T) {
 		t.Fatal("same seed generated different problems")
 	}
 	c := Generate(4, DefaultGen())
-	sc, err := core.Solve(c, core.Config{Rep: core.IP, Solver: core.Worklist})
+	sc, err := core.Solve(c, core.Config{Rep: core.IP, Solver: core.Worklist}, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestDifferentialRaceTelemetry(t *testing.T) {
 		Rep: core.IP, Solver: core.Worklist, Order: core.LRF,
 		OCD: true, DP: true, PIP: true,
 	}
-	ref, err := core.Solve(p, cfg)
+	ref, err := core.Solve(p, cfg, core.SolveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestDifferentialRaceTelemetry(t *testing.T) {
 			tr := obs.New("differential-race", 1<<12)
 			ar := core.NewArena()
 			for i := 0; i < 3; i++ {
-				sol, err := core.SolveTracedIn(p, cfg, tr.NewTrack("solve"), ar)
+				sol, err := core.Solve(p, cfg, core.SolveOptions{Trace: tr.NewTrack("solve"), Arena: ar})
 				if err != nil {
 					errs <- err.Error()
 					return

@@ -5,6 +5,7 @@ import (
 
 	"github.com/pip-analysis/pip/internal/core"
 	"github.com/pip-analysis/pip/internal/core/incr"
+	"github.com/pip-analysis/pip/internal/obs"
 )
 
 // Edit-script differential harness: the correctness gate for incremental
@@ -100,7 +101,7 @@ func (r EditReport) String() string {
 // path tally and the first divergence found, if any.
 func CheckEditScript(base *core.Problem, script []byte, cfg core.Config) (EditReport, error) {
 	var rep EditReport
-	st, err := incr.New(base, cfg)
+	st, err := incr.New(base, cfg, obs.Track{})
 	if err != nil {
 		return rep, fmt.Errorf("generation 0: %w", err)
 	}
@@ -108,7 +109,7 @@ func CheckEditScript(base *core.Problem, script []byte, cfg core.Config) (EditRe
 		return rep, fmt.Errorf("generation 0 differs from direct solve")
 	}
 	for i, version := range ApplyEdits(base, script) {
-		nst, stats, err := st.Update(version)
+		nst, stats, err := st.Update(version, obs.Track{})
 		if err != nil {
 			return rep, fmt.Errorf("edit %d: update: %w", i, err)
 		}
@@ -121,7 +122,7 @@ func CheckEditScript(base *core.Problem, script []byte, cfg core.Config) (EditRe
 		default:
 			rep.Fallbacks++
 		}
-		scratch, err := core.Solve(version, cfg)
+		scratch, err := core.Solve(version, cfg, core.SolveOptions{})
 		if err != nil {
 			return rep, fmt.Errorf("edit %d: scratch solve: %w", i, err)
 		}

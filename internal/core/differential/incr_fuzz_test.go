@@ -79,17 +79,17 @@ func FuzzDemandSlice(f *testing.F) {
 		for _, b := range data[2:] {
 			roots = append(roots, core.VarID(int(b)%p.NumVars()))
 		}
-		res, err := core.SolveDemand(p, cfg, roots)
+		sol, err := core.Solve(p, cfg, core.SolveOptions{Demand: roots})
 		if err != nil {
 			t.Fatalf("seed %d, config %s: %v", seed, cfg, err)
 		}
 		for _, r := range roots {
-			if !res.Explored[r] {
+			if !sol.Explored(r) {
 				t.Fatalf("seed %d: root %d not explored", seed, r)
 			}
 		}
 		ref := core.MustSolve(p, cfg)
-		if err := checkDemand(p, res, ref); err != nil {
+		if err := checkDemand(p, sol, ref); err != nil {
 			t.Fatalf("seed %d, config %s, roots %v: %v", seed, cfg, roots, err)
 		}
 	})

@@ -493,7 +493,7 @@ entry:
 		g, _ := genFromIR(t, src)
 		want := ReferenceSolve(g.Problem)
 		for _, cfg := range AllConfigs() {
-			sol, err := Solve(g.Problem, cfg)
+			sol, err := Solve(g.Problem, cfg, SolveOptions{})
 			if err != nil {
 				t.Fatalf("source %d, %s: %v", si, cfg, err)
 			}

@@ -71,15 +71,12 @@ type UpdateStats struct {
 func (st *State) Checkpointed() bool { return st.ck != nil }
 
 // New solves p from scratch under cfg and establishes the first
-// generation. The solve is checkpointed when cfg is core.Resumable (and
+// generation, recording the solve onto tk (the zero Track records
+// nothing). The solve is checkpointed when cfg is core.Resumable (and
 // the solve completed exactly), so the following Update can resume.
-func New(p *core.Problem, cfg core.Config) (*State, error) {
-	return NewTraced(p, cfg, obs.Track{}, nil)
-}
-
-// NewTraced is New with a trace lane and an optional solver arena.
-func NewTraced(p *core.Problem, cfg core.Config, tk obs.Track, ar *core.Arena) (*State, error) {
-	sol, ck, err := core.SolveCheckpointed(p, cfg, tk, ar)
+func New(p *core.Problem, cfg core.Config, tk obs.Track) (*State, error) {
+	var ck *core.Checkpoint
+	sol, err := core.Solve(p, cfg, core.SolveOptions{Trace: tk, Checkpoint: &ck})
 	if err != nil {
 		return nil, err
 	}
@@ -93,14 +90,9 @@ func NewTraced(p *core.Problem, cfg core.Config, tk obs.Track, ar *core.Arena) (
 }
 
 // Update solves the resubmitted problem p, reusing as much of st as the
-// summary delta allows. st is not modified; the returned State is the new
-// generation.
-func (st *State) Update(p *core.Problem) (*State, *UpdateStats, error) {
-	return st.UpdateTraced(p, obs.Track{}, nil)
-}
-
-// UpdateTraced is Update with a trace lane and an optional solver arena.
-func (st *State) UpdateTraced(p *core.Problem, tk obs.Track, ar *core.Arena) (*State, *UpdateStats, error) {
+// summary delta allows, and records any solve onto tk. st is not
+// modified; the returned State is the new generation.
+func (st *State) Update(p *core.Problem, tk obs.Track) (*State, *UpdateStats, error) {
 	sum := core.BuildSummary(p)
 	d := core.DiffSummaries(st.Summary, sum)
 	stats := &UpdateStats{
@@ -110,41 +102,39 @@ func (st *State) UpdateTraced(p *core.Problem, tk obs.Track, ar *core.Arena) (*S
 		FullConstraints: sum.NumConstraints(),
 	}
 	stats.Reused = stats.FullConstraints - stats.Added
+	next := &State{
+		Generation: st.Generation + 1,
+		Config:     st.Config,
+		Problem:    p,
+		Summary:    sum,
+	}
 
 	if d.Empty() {
 		// Constraint-identical resubmission (renames included): the old
 		// solution answers the new problem; only the name table differs.
 		stats.ReusedSolution = true
-		return &State{
-			Generation: st.Generation + 1,
-			Config:     st.Config,
-			Problem:    p,
-			Summary:    sum,
-			Sol:        st.Sol.WithProblem(p),
-			ck:         st.ck,
-		}, stats, nil
+		next.Sol, next.ck = st.Sol.WithProblem(p), st.ck
+		return next, stats, nil
 	}
 
-	if reason := st.resumeBlocked(d, p); reason != "" {
-		stats.FallbackReason = reason
-		return st.fallback(p, sum, tk, ar, stats)
-	}
-	sol, ck, err := st.ck.ResumeAdded(p, d, tk, ar)
-	if err != nil {
+	opts := core.SolveOptions{Trace: tk, Checkpoint: &next.ck}
+	stats.FallbackReason = st.resumeBlocked(d, p)
+	if stats.FallbackReason == "" {
+		sol, err := st.ck.ResumeAdded(p, d, opts)
+		if err == nil {
+			next.Sol, stats.Resumed = sol, true
+			return next, stats, nil
+		}
 		// ResumeAdded re-checks its preconditions; any refusal falls back
 		// to the sound from-scratch path rather than failing the request.
 		stats.FallbackReason = err.Error()
-		return st.fallback(p, sum, tk, ar, stats)
 	}
-	stats.Resumed = true
-	return &State{
-		Generation: st.Generation + 1,
-		Config:     st.Config,
-		Problem:    p,
-		Summary:    sum,
-		Sol:        sol,
-		ck:         ck,
-	}, stats, nil
+	sol, err := core.Solve(p, st.Config, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	next.Sol, stats.Reused = sol, 0
+	return next, stats, nil
 }
 
 // resumeBlocked explains why the incremental path cannot run for this
@@ -164,21 +154,4 @@ func (st *State) resumeBlocked(d *core.SummaryDelta, p *core.Problem) string {
 		return "variable universe grew under explicit-Ω"
 	}
 	return ""
-}
-
-// fallback runs the from-scratch solve and packages the new generation.
-func (st *State) fallback(p *core.Problem, sum *core.ProblemSummary, tk obs.Track, ar *core.Arena, stats *UpdateStats) (*State, *UpdateStats, error) {
-	sol, ck, err := core.SolveCheckpointed(p, st.Config, tk, ar)
-	if err != nil {
-		return nil, nil, err
-	}
-	stats.Reused = 0
-	return &State{
-		Generation: st.Generation + 1,
-		Config:     st.Config,
-		Problem:    p,
-		Summary:    sum,
-		Sol:        sol,
-		ck:         ck,
-	}, stats, nil
 }

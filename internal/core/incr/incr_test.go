@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/pip-analysis/pip/internal/core"
+	"github.com/pip-analysis/pip/internal/obs"
 )
 
 func buildProblem() *core.Problem {
@@ -22,7 +23,7 @@ func buildProblem() *core.Problem {
 
 func TestUpdatePaths(t *testing.T) {
 	cfg := core.Config{Rep: core.IP, Solver: core.Worklist}
-	st, err := New(buildProblem(), cfg)
+	st, err := New(buildProblem(), cfg, obs.Track{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestUpdatePaths(t *testing.T) {
 	// Rename-only resubmission: empty delta, solution reused.
 	renamed := buildProblem()
 	renamed.Names[0] = "a_renamed"
-	st1, stats, err := st.Update(renamed)
+	st1, stats, err := st.Update(renamed, obs.Track{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestUpdatePaths(t *testing.T) {
 	w := grown.AddVar("q", core.Memory, true)
 	grown.AddBase(v, w)
 	grown.AddSimple(core.VarID(grown.NumVars()-2), 0)
-	st2, stats, err := st1.Update(grown)
+	st2, stats, err := st1.Update(grown, obs.Track{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestUpdatePaths(t *testing.T) {
 	// Removal: falls back to a full solve but still answers exactly.
 	shrunk := buildProblem()
 	shrunk.Simple = nil
-	st3, stats, err := st1.Update(shrunk)
+	st3, stats, err := st1.Update(shrunk, obs.Track{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestUpdatePaths(t *testing.T) {
 
 func TestUpdateNonResumableConfig(t *testing.T) {
 	cfg := core.Config{Rep: core.IP, Solver: core.Worklist, PIP: true}
-	st, err := New(buildProblem(), cfg)
+	st, err := New(buildProblem(), cfg, obs.Track{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestUpdateNonResumableConfig(t *testing.T) {
 	}
 	grown := buildProblem()
 	grown.AddSimple(0, 1)
-	st1, stats, err := st.Update(grown)
+	st1, stats, err := st.Update(grown, obs.Track{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +109,7 @@ func TestUpdateNonResumableConfig(t *testing.T) {
 	// Rename-only reuse works even without a checkpoint.
 	renamed := buildProblem()
 	renamed.Names[1] = "other"
-	_, stats, err = st.Update(renamed)
+	_, stats, err = st.Update(renamed, obs.Track{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestUpdateNonResumableConfig(t *testing.T) {
 func TestUpdateChainedGenerations(t *testing.T) {
 	cfg := core.Config{Rep: core.IP, Solver: core.Worklist, Order: core.Topo, DP: true}
 	p := buildProblem()
-	st, err := New(p, cfg)
+	st, err := New(p, cfg, obs.Track{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestUpdateChainedGenerations(t *testing.T) {
 		m := next.AddVar("", core.Memory, true)
 		next.AddBase(v, m)
 		next.AddSimple(v, core.VarID(gen%next.NumVars()))
-		st2, stats, err := st.Update(next)
+		st2, stats, err := st.Update(next, obs.Track{})
 		if err != nil {
 			t.Fatalf("gen %d: %v", gen, err)
 		}
@@ -151,13 +152,13 @@ func TestUpdateChainedGenerations(t *testing.T) {
 func TestUpdateRetypedAndEPGrowth(t *testing.T) {
 	// Retyped variable: same counts, different kind — non-monotone.
 	cfg := core.Config{Rep: core.IP, Solver: core.Worklist}
-	st, err := New(buildProblem(), cfg)
+	st, err := New(buildProblem(), cfg, obs.Track{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	retyped := buildProblem()
 	retyped.Kind[0] = core.Memory
-	_, stats, err := st.Update(retyped)
+	_, stats, err := st.Update(retyped, obs.Track{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,14 +169,14 @@ func TestUpdateRetypedAndEPGrowth(t *testing.T) {
 	// Universe growth under the explicit-Ω representation: Ω's id would
 	// shift, so the checkpoint cannot be reused.
 	epCfg := core.Config{Rep: core.EP, Solver: core.Worklist}
-	stEP, err := New(buildProblem(), epCfg)
+	stEP, err := New(buildProblem(), epCfg, obs.Track{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	grown := buildProblem()
 	v := grown.AddVar("x", core.Register, true)
 	grown.AddSimple(v, 0)
-	st1, stats, err := stEP.Update(grown)
+	st1, stats, err := stEP.Update(grown, obs.Track{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,16 +192,16 @@ func TestUpdateInvalidProblem(t *testing.T) {
 	cfg := core.Config{Rep: core.IP, Solver: core.Worklist}
 	bad := buildProblem()
 	bad.Simple = append(bad.Simple, core.Edge{Dst: 0, Src: 99}) // dangling id
-	if _, err := New(bad, cfg); err == nil {
+	if _, err := New(bad, cfg, obs.Track{}); err == nil {
 		t.Fatal("New accepted an invalid problem")
 	}
-	st, err := New(buildProblem(), cfg)
+	st, err := New(buildProblem(), cfg, obs.Track{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The resume path rejects the invalid problem, and so does the
 	// from-scratch fallback: Update must surface the error, not panic.
-	if _, _, err := st.Update(bad); err == nil {
+	if _, _, err := st.Update(bad, obs.Track{}); err == nil {
 		t.Fatal("Update accepted an invalid problem")
 	}
 }

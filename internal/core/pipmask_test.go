@@ -14,7 +14,7 @@ func TestPIPMaskAllSubsetsExact(t *testing.T) {
 		want := ReferenceSolve(prob)
 		for mask := uint8(0); mask <= 0xF; mask++ {
 			cfg := Config{Rep: IP, Solver: Worklist, Order: FIFO, PIP: true, PIPMask: mask}
-			sol, err := Solve(prob, cfg)
+			sol, err := Solve(prob, cfg, SolveOptions{})
 			if err != nil {
 				t.Fatalf("mask %04b: %v", mask, err)
 			}

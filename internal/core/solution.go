@@ -56,6 +56,11 @@ type Solution struct {
 	// Telemetry is the per-solve instrumentation block: phase timers, rule
 	// firing counts, and the worklist high-water mark.
 	Telemetry Telemetry
+
+	// demand and explored describe a demand solve's slice (see
+	// demand.go); both are nil for exhaustive solves.
+	demand   *DemandStats
+	explored []bool
 }
 
 // OmegaPointee is the pseudo memory location standing for "all memory in
@@ -69,6 +74,21 @@ func (s *Solution) NumVars() int { return s.p.NumVars() }
 
 // Problem returns the problem this solution solves.
 func (s *Solution) Problem() *Problem { return s.p }
+
+// Demand reports how much of the problem a demand solve
+// (SolveOptions.Demand) explored; nil for exhaustive solves.
+func (s *Solution) Demand() *DemandStats {
+	if s.demand == nil {
+		return nil
+	}
+	d := *s.demand
+	return &d
+}
+
+// Explored reports whether v's constraint component was solved. Every
+// variable of an exhaustive solve is explored; in a demand solve the
+// unexplored variables answer the sound Ω.
+func (s *Solution) Explored(v VarID) bool { return s.explored == nil || s.explored[v] }
 
 // rep returns the variable's representative.
 func (s *Solution) rep(v VarID) VarID { return s.repOf[v] }

@@ -44,8 +44,8 @@ type solver struct {
 	// resumed solves, making every ownership check a no-op from scratch.
 	ptsShared []bool
 	// succShared[r] is the same copy-on-write mark for succ[r]. Shared
-	// successor sets additionally alias arena slots, so ResumeAdded
-	// detaches them before returning (see the scrub defer there).
+	// successor sets additionally alias arena slots, so a resumed solve
+	// detaches them before returning (see detachShared).
 	succShared []bool
 	// dif[r] is the difference-propagation delta of representative r.
 	dif []*bitset.Set
@@ -127,36 +127,52 @@ type solver struct {
 	markGen   uint32
 }
 
-// Solve runs analysis phase 2 on prob under configuration cfg.
-func Solve(prob *Problem, cfg Config) (*Solution, error) {
-	return SolveTraced(prob, cfg, obs.Track{})
+// SolveOptions selects how a solve runs. The zero value is a plain
+// exhaustive, untraced solve on pooled scratch memory.
+type SolveOptions struct {
+	// Trace is the lane the solve records onto: phase spans (offline with
+	// OVS/HCD children, the solve loop, cycle collapses), per-collapse SCC
+	// events, wave boundaries, budget-stride samples, and the sampled
+	// convergence profile (worklist depth and explicit/implicit growth
+	// over time). The zero Track records nothing; traced and untraced
+	// solves run the same solver code, so tracing never changes the
+	// solution.
+	Trace obs.Track
+	// Arena supplies all solver scratch state. Nil borrows one from an
+	// internal pool for the duration of the solve; engine workers pass
+	// their own so one allocation set is reused across every job they
+	// process. The arena never changes the solution — only where scratch
+	// memory comes from.
+	Arena *Arena
+	// Checkpoint, when non-nil, receives the solve's resume checkpoint
+	// (see ResumeAdded), or nil when there is none: the configuration is
+	// not Resumable, the solve degraded (a degraded solve has no
+	// propagation state worth keeping), or it was a demand solve.
+	Checkpoint **Checkpoint
+	// Demand, when non-empty, solves only the constraint components
+	// containing these root variables; every other variable answers the
+	// sound Ω (see demand.go and Solution.Demand).
+	Demand []VarID
 }
 
-// SolveTraced is Solve recording structured spans and events onto the
-// given trace lane: phase spans (offline with OVS/HCD children, the solve
-// loop, cycle collapses), per-collapse SCC events, wave boundaries,
-// budget-stride samples, and the sampled convergence profile (worklist
-// depth and explicit/implicit growth over time). The zero Track disables
-// recording; the traced and untraced paths run the same solver code, so
-// tracing never changes the solution.
-func SolveTraced(prob *Problem, cfg Config, tk obs.Track) (*Solution, error) {
-	return SolveTracedIn(prob, cfg, tk, nil)
+// Solve runs analysis phase 2 on prob under configuration cfg; opts
+// selects tracing, scratch memory, checkpoint capture and demand slicing.
+func Solve(prob *Problem, cfg Config, opts SolveOptions) (*Solution, error) {
+	if opts.Checkpoint != nil {
+		*opts.Checkpoint = nil
+	}
+	if len(opts.Demand) > 0 {
+		return solveDemand(prob, cfg, opts)
+	}
+	return solve(prob, cfg, opts, nil, nil)
 }
 
-// SolveTracedIn is SolveTraced drawing all solver scratch state from the
-// given arena. A nil arena borrows one from an internal pool for the
-// duration of the solve; engine workers pass their own arena so one
-// allocation set is reused across every job the worker processes. The
-// arena never changes the solution — only where scratch memory comes from.
-func SolveTracedIn(prob *Problem, cfg Config, tk obs.Track, ar *Arena) (*Solution, error) {
-	return solveTracedCapture(prob, cfg, tk, ar, nil)
-}
-
-// solveTracedCapture is the full solve pipeline with an optional hook that
-// observes the solver's final state before the arena is released. The
-// checkpointing path (checkpoint.go) uses it to snapshot the converged
-// propagation state; capture runs only for exact (non-degraded) solves.
-func solveTracedCapture(prob *Problem, cfg Config, tk obs.Track, ar *Arena, capture func(*solver)) (*Solution, error) {
+// solve is the one solve lifecycle behind Solve and ResumeAdded:
+// validation, the arena borrow and return, the top-level span, phase 2
+// from scratch (ck nil) or resumed from ck with the additions d, abort to
+// the Ω-degraded solution, telemetry, Stats.Duration, and the optional
+// checkpoint capture for the next generation.
+func solve(prob *Problem, cfg Config, opts SolveOptions, ck *Checkpoint, d *SummaryDelta) (*Solution, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -166,9 +182,13 @@ func solveTracedCapture(prob *Problem, cfg Config, tk obs.Track, ar *Arena, capt
 	// Chaos hook: the per-solve injection point sits after validation, so
 	// an injected error is indistinguishable from a real internal solver
 	// failure to the layers above (engine retry, serve error mapping).
-	if err := faults.Inject(faults.CoreSolve); err != nil {
-		return nil, err
+	// Only from-scratch solves are injection points.
+	if ck == nil {
+		if err := faults.Inject(faults.CoreSolve); err != nil {
+			return nil, err
+		}
 	}
+	ar := opts.Arena
 	if ar == nil {
 		pooled := arenaPool.Get().(*Arena)
 		// The deferred Put runs when this solve stops using the arena —
@@ -181,14 +201,29 @@ func solveTracedCapture(prob *Problem, cfg Config, tk obs.Track, ar *Arena, capt
 	}
 	start := time.Now()
 	s := newSolver(prob, cfg, ar)
+	tk := opts.Trace
 	s.tk = tk
 	if cfg.Budget.Deadline > 0 {
 		s.deadline = start.Add(cfg.Budget.Deadline)
 	}
-	solveSpan := tk.Begin("solve",
-		obs.S("config", cfg.String()),
-		obs.N("vars", int64(prob.NumVars())),
-		obs.N("constraints", int64(prob.NumConstraints())))
+	var solveSpan obs.Span
+	if ck == nil {
+		solveSpan = tk.Begin("solve",
+			obs.S("config", cfg.String()),
+			obs.N("vars", int64(prob.NumVars())),
+			obs.N("constraints", int64(prob.NumConstraints())))
+	} else {
+		solveSpan = tk.Begin("resume",
+			obs.S("config", cfg.String()),
+			obs.N("vars", int64(prob.NumVars())),
+			obs.N("added", int64(d.Added())))
+		// Restoring makes the arena's succ table alias checkpoint-owned
+		// sets. captureCheckpoint detaches every non-empty slot; this defer
+		// also detaches them on abort or panic, so the next solve's in-place
+		// arena reset can never clear a live checkpoint's sets. (It runs
+		// before the arena goes back to the pool.)
+		defer s.detachShared()
+	}
 	offSpan := tk.Begin("offline")
 	if cfg.OVS {
 		sp := tk.Begin("ovs")
@@ -204,14 +239,18 @@ func solveTracedCapture(prob *Problem, cfg Config, tk obs.Track, ar *Arena, capt
 	s.tel.Offline = time.Since(start)
 	solveStart := time.Now()
 	propSpan := tk.Begin("propagate")
-	s.seed()
-	switch cfg.Solver {
-	case Naive:
-		s.solveNaive()
-	case Wave:
-		s.solveWave()
-	default:
-		s.solveWorklist()
+	if ck == nil {
+		s.seed()
+		switch cfg.Solver {
+		case Naive:
+			s.solveNaive()
+		case Wave:
+			s.solveWave()
+		default:
+			s.solveWorklist()
+		}
+	} else {
+		s.resume(ck, d)
 	}
 	propSpan.End(obs.N("firings", s.fired), obs.N("visits", int64(s.stats.Visits)))
 	ar.iterBuf = s.iterBuf[:0] // hand the grown snapshot buffer back for reuse
@@ -233,8 +272,8 @@ func solveTracedCapture(prob *Problem, cfg Config, tk obs.Track, ar *Arena, capt
 		fin := tk.Begin("finish")
 		sol = s.finish()
 		fin.End()
-		if capture != nil {
-			capture(s)
+		if opts.Checkpoint != nil && Resumable(cfg) {
+			*opts.Checkpoint = captureCheckpoint(s)
 		}
 	}
 	s.sampleConvergence()
@@ -274,7 +313,7 @@ func (s *solver) sampleConvergence() {
 
 // MustSolve is Solve that panics on error; for tests and examples.
 func MustSolve(prob *Problem, cfg Config) *Solution {
-	sol, err := Solve(prob, cfg)
+	sol, err := Solve(prob, cfg, SolveOptions{})
 	if err != nil {
 		panic(err)
 	}

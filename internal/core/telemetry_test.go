@@ -141,7 +141,7 @@ func TestSolveTracedSpans(t *testing.T) {
 
 	cfg := Config{Rep: IP, Solver: Worklist, Order: FIFO, OCD: true, PIP: true}
 	tr := obs.New("test-solve", 1<<12)
-	sol, err := SolveTraced(prob, cfg, tr.NewTrack("solver"))
+	sol, err := Solve(prob, cfg, SolveOptions{Trace: tr.NewTrack("solver")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func TestWaveMatchesReference(t *testing.T) {
 	for pi, prob := range problems {
 		want := ReferenceSolve(prob)
 		for _, name := range []string{"IP+Wave", "EP+Wave", "IP+Wave+PIP", "IP+OVS+Wave"} {
-			sol, err := Solve(prob, MustParseConfig(name))
+			sol, err := Solve(prob, MustParseConfig(name), SolveOptions{})
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

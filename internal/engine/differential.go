@@ -100,7 +100,7 @@ func runSequential(j Job) (res Result) {
 	if gen == nil {
 		gen = core.GenerateWith(j.Module, j.Summaries)
 	}
-	sol, err := core.Solve(gen.Problem, j.Config)
+	sol, err := core.Solve(gen.Problem, j.Config, core.SolveOptions{})
 	if err != nil {
 		return Result{Err: err}
 	}

@@ -117,7 +117,7 @@ type Job struct {
 	// returned. <= 0 means 1.
 	Reps int
 	// Trace is the lane the solve's phase spans and convergence profile
-	// are recorded onto (core.SolveTraced). The zero Track records
+	// are recorded onto (core.SolveOptions.Trace). The zero Track records
 	// nothing; when unset and the engine has Options.Trace, the worker's
 	// own track is used instead, nesting the solve under the job span.
 	Trace obs.Track
@@ -160,11 +160,9 @@ type Result struct {
 	// ordinary jobs.
 	Incremental *incr.UpdateStats
 	// DemandStats reports how much of the problem a demand-driven job
-	// (Job.Demand non-empty) explored; nil for exhaustive jobs.
+	// (Job.Demand non-empty) explored; nil for exhaustive jobs. Which
+	// variables were explored is Sol.Explored.
 	DemandStats *core.DemandStats
-	// DemandExplored is the demand job's exploration mask: variables
-	// outside it answer the sound Ω. Nil for exhaustive jobs.
-	DemandExplored []bool
 }
 
 // Stats is the engine's cumulative counters across all Run calls. The
@@ -733,18 +731,17 @@ func (e *Engine) attemptJob(j Job, tk obs.Track, ar *core.Arena) (res Result) {
 		if gen == nil {
 			gen = core.GenerateWith(j.Module, j.Summaries)
 		}
-		dres, err := core.SolveDemandTraced(gen.Problem, j.Config, j.Demand, tk, ar)
+		sol, err := e.solveGuarded(gen.Problem, j.Config, core.SolveOptions{Trace: tk, Arena: ar, Demand: j.Demand})
 		if err != nil {
 			return Result{Err: err}
 		}
-		return Result{
-			Gen:            gen,
-			Sol:            dres.Sol,
-			Degraded:       dres.Sol.Degraded,
-			Duration:       dres.Sol.Stats.Duration,
-			DemandStats:    &dres.Stats,
-			DemandExplored: dres.Explored,
+		ds := sol.Demand()
+		if ds == nil {
+			// The watchdog answered with the Ω-degradation before the slice
+			// was solved: nothing was explored.
+			ds = &core.DemandStats{TotalVars: gen.Problem.NumVars(), TotalConstraints: gen.Problem.NumConstraints()}
 		}
+		return Result{Gen: gen, Sol: sol, Degraded: sol.Degraded, Duration: sol.Stats.Duration, DemandStats: ds}
 	}
 	key := j.Key
 	var rsv *reservation
@@ -806,7 +803,7 @@ func (e *Engine) attemptJob(j Job, tk obs.Track, ar *core.Arena) (res Result) {
 	var sol *core.Solution
 	var best time.Duration
 	for r := 0; r < reps; r++ {
-		s, err := e.solveGuarded(gen.Problem, j.Config, tk, ar)
+		s, err := e.solveGuarded(gen.Problem, j.Config, core.SolveOptions{Trace: tk, Arena: ar})
 		if err != nil {
 			return Result{Err: err}
 		}
@@ -907,7 +904,7 @@ func (e *Engine) attemptIncremental(st *incr.State, j Job, tk obs.Track) (res Re
 		if j.Config.Budget.IsZero() && !e.opts.Budget.IsZero() {
 			j.Config.Budget = e.opts.Budget
 		}
-		nst, err = incr.NewTraced(gen.Problem, j.Config, tk, nil)
+		nst, err = incr.New(gen.Problem, j.Config, tk)
 		if err != nil {
 			return Result{Err: err}, st
 		}
@@ -917,7 +914,7 @@ func (e *Engine) attemptIncremental(st *incr.State, j Job, tk obs.Track) (res Re
 			FullConstraints: nst.Summary.NumConstraints(),
 		}
 	} else {
-		nst, stats, err = st.UpdateTraced(gen.Problem, tk, nil)
+		nst, stats, err = st.Update(gen.Problem, tk)
 		if err != nil {
 			return Result{Err: err}, st
 		}

@@ -118,21 +118,21 @@ func TestDemandJob(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if res.DemandStats == nil || res.DemandExplored == nil {
-		t.Fatal("demand job should report demand stats and exploration mask")
+	if res.DemandStats == nil || res.Sol.Demand() == nil {
+		t.Fatal("demand job should report demand stats on the result and the solution")
 	}
-	if !res.DemandExplored[0] {
+	if !res.Sol.Explored(0) {
 		t.Fatal("demand root not explored")
 	}
 	if res.DemandStats.ExploredVars > res.DemandStats.TotalVars {
 		t.Fatalf("inconsistent demand stats: %+v", res.DemandStats)
 	}
 	// The slice answers match a direct demand solve of the same problem.
-	want, err := core.SolveDemand(res.Gen.Problem, cfg, []core.VarID{0})
+	want, err := core.Solve(res.Gen.Problem, cfg, core.SolveOptions{Demand: []core.VarID{0}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Sol.Fingerprint() != want.Sol.Fingerprint() {
+	if res.Sol.Fingerprint() != want.Fingerprint() {
 		t.Fatal("engine demand solution differs from direct demand solve")
 	}
 

@@ -10,7 +10,6 @@ import (
 
 	"github.com/pip-analysis/pip/internal/core"
 	"github.com/pip-analysis/pip/internal/faults"
-	"github.com/pip-analysis/pip/internal/obs"
 )
 
 // This file is the engine's resilience layer: retry with backoff for
@@ -87,36 +86,38 @@ func retryable(err error) bool {
 	return faults.IsFault(err)
 }
 
-// solveGuarded runs one solve under the watchdog. Solves with no wall
-// deadline (or no watchdog configured) run inline. With both, the solve
-// runs in a child goroutine; if it has not answered within
-// WatchdogFactor× its deadline — the budget's own strided clock checks
-// should have degraded it long before — the job is answered with the
-// sound Ω-degradation built from the problem alone, and the stuck solve
-// is abandoned (it keeps its goroutine until it finishes; its result is
-// discarded, never cached, so a late answer cannot leak into anything).
-func (e *Engine) solveGuarded(prob *core.Problem, cfg core.Config, tk obs.Track, ar *core.Arena) (*core.Solution, error) {
+// solveGuarded runs one solve — exhaustive or demand — under the
+// watchdog. Solves with no wall deadline (or no watchdog configured) run
+// inline. With both, the solve runs in a child goroutine; if it has not
+// answered within WatchdogFactor× its deadline — the budget's own strided
+// clock checks should have degraded it long before — the job is answered
+// with the sound Ω-degradation built from the problem alone, and the
+// stuck solve is abandoned (it keeps its goroutine until it finishes; its
+// result is discarded, never cached, so a late answer cannot leak into
+// anything).
+func (e *Engine) solveGuarded(prob *core.Problem, cfg core.Config, opts core.SolveOptions) (*core.Solution, error) {
 	factor := e.opts.WatchdogFactor
 	if factor <= 0 || cfg.Budget.Deadline <= 0 {
-		return core.SolveTracedIn(prob, cfg, tk, ar)
+		return core.Solve(prob, cfg, opts)
 	}
 	type outcome struct {
 		sol *core.Solution
 		err error
 	}
 	ch := make(chan outcome, 1)
+	// Watchdogged solves never borrow the worker's arena: an abandoned
+	// solve keeps running after the watchdog answers for it, and the
+	// worker would hand the same arena to its next job while the zombie
+	// still writes into it. The nil arena draws from the shared pool, and
+	// a pooled arena abandoned this way is simply never returned.
+	opts.Arena = nil
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {
 				ch <- outcome{err: &panicError{val: r, stack: debug.Stack()}}
 			}
 		}()
-		// Watchdogged solves never borrow the worker's arena: an abandoned
-		// solve keeps running after the watchdog answers for it, and the
-		// worker would hand the same arena to its next job while the zombie
-		// still writes into it. The nil arena draws from the shared pool,
-		// and a pooled arena abandoned this way is simply never returned.
-		sol, err := core.SolveTracedIn(prob, cfg, tk, nil)
+		sol, err := core.Solve(prob, cfg, opts)
 		ch <- outcome{sol: sol, err: err}
 	}()
 	timer := time.NewTimer(time.Duration(factor) * cfg.Budget.Deadline)

@@ -113,25 +113,39 @@ func TestPanicMessageFormatPreserved(t *testing.T) {
 func TestWatchdogForcesDegradation(t *testing.T) {
 	// The solve sleeps 2s at the core.solve point while its wall deadline
 	// is 10ms; the watchdog fires at 3×10ms and answers with the sound
-	// Ω-degradation instead of waiting the sleep out.
-	armFaults(t, "seed=1;core.solve=latency:1:2s")
-	mods := testModules(1)
-	cfg := core.DefaultConfig()
-	cfg.Budget = core.Budget{Deadline: 10 * time.Millisecond}
-	eng := New(Options{Workers: 1, WatchdogFactor: 3})
-	start := time.Now()
-	res := eng.RunOne(Job{Module: mods[0], Config: cfg})
-	if res.Err != nil {
-		t.Fatalf("watchdog path returned error: %v", res.Err)
-	}
-	if !res.Degraded || !res.Sol.Degraded {
-		t.Fatal("watchdog answer must be the degraded (sound Ω) solution")
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("watchdog did not cut the solve short: took %v", elapsed)
-	}
-	if st := eng.Stats(); st.WatchdogFired != 1 {
-		t.Fatalf("expected WatchdogFired=1, got %+v", st)
+	// Ω-degradation instead of waiting the sleep out. Demand jobs run
+	// under the same watchdog as exhaustive ones.
+	for _, tc := range []struct {
+		name   string
+		demand []core.VarID
+	}{
+		{name: "Exhaustive"},
+		{name: "Demand", demand: []core.VarID{0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			armFaults(t, "seed=1;core.solve=latency:1:2s")
+			mods := testModules(1)
+			cfg := core.DefaultConfig()
+			cfg.Budget = core.Budget{Deadline: 10 * time.Millisecond}
+			eng := New(Options{Workers: 1, WatchdogFactor: 3})
+			start := time.Now()
+			res := eng.RunOne(Job{Module: mods[0], Config: cfg, Demand: tc.demand})
+			if res.Err != nil {
+				t.Fatalf("watchdog path returned error: %v", res.Err)
+			}
+			if !res.Degraded || !res.Sol.Degraded {
+				t.Fatal("watchdog answer must be the degraded (sound Ω) solution")
+			}
+			if elapsed := time.Since(start); elapsed > time.Second {
+				t.Fatalf("watchdog did not cut the solve short: took %v", elapsed)
+			}
+			if st := eng.Stats(); st.WatchdogFired != 1 {
+				t.Fatalf("expected WatchdogFired=1, got %+v", st)
+			}
+			if tc.demand != nil && (res.DemandStats == nil || res.DemandStats.ExploredVars != 0) {
+				t.Fatalf("watchdog demand answer must report an empty slice, got %+v", res.DemandStats)
+			}
+		})
 	}
 }
 

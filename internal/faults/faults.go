@@ -43,7 +43,7 @@ type Point string
 
 // The registered injection points, in stack order.
 const (
-	CoreSolve       Point = "core.solve"      // start of every SolveTraced, after validation
+	CoreSolve       Point = "core.solve"      // start of every from-scratch core.Solve, after validation
 	CoreWave        Point = "core.wave"       // top of each wave in the Wave strategy
 	CoreCollapse    Point = "core.collapse"   // entry of each top-level cycle collapse
 	EngineDispatch  Point = "engine.dispatch" // worker picks up a job, before solve

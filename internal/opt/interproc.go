@@ -25,7 +25,7 @@ type Context struct {
 // NewContext builds the full analysis context for a module.
 func NewContext(m *ir.Module, cfg core.Config) (*Context, error) {
 	gen := core.Generate(m)
-	sol, err := core.Solve(gen.Problem, cfg)
+	sol, err := core.Solve(gen.Problem, cfg, core.SolveOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -378,14 +378,20 @@ func TestProberOpensAndClosesBreaker(t *testing.T) {
 	}
 
 	waitState(breakerOpen, "sick backend")
-	foundDump := false
-	for _, d := range rt.flight.Dumps() {
-		if d.Reason == flightTriggerProbeFail {
-			foundDump = true
+	// The prober forces the breaker open before it triggers the probe.fail
+	// dump, so the dump may land just after the state flips: poll for it.
+	probeDumped := func() bool {
+		for _, d := range rt.flight.Dumps() {
+			if d.Reason == flightTriggerProbeFail {
+				return true
+			}
 		}
+		return false
 	}
-	if !foundDump {
-		t.Fatal("no probe.fail flight dump after the prober opened the breaker")
+	for deadline := time.Now().Add(5 * time.Second); !probeDumped(); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("no probe.fail flight dump after the prober opened the breaker")
+		}
 	}
 	if rt.probeFailsTotal.Load() == 0 || b.probeFails.Load() == 0 {
 		t.Fatal("probe failures not counted")

@@ -155,7 +155,7 @@ func AnalyzeTraced(m *Module, cfg Config, lane TraceLane) (*Result, error) {
 
 func analyzeTraced(m *Module, cfg Config, summaries map[string]Summary, lane obs.Track) (*Result, error) {
 	gen := core.GenerateWith(m, summaries)
-	sol, err := core.SolveTraced(gen.Problem, cfg, lane)
+	sol, err := core.Solve(gen.Problem, cfg, core.SolveOptions{Trace: lane})
 	if err != nil {
 		return nil, err
 	}
