@@ -19,6 +19,7 @@
 package engine
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -406,11 +407,17 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// ModuleHash returns the content hash of a module (over its printed MIR
-// form), the basis of the engine's cache keys.
+// ModuleHash returns the content hash of a module (the SHA-256 of its
+// printed MIR form), the basis of the engine's cache keys and the
+// persistent store's keys. The printed text is streamed into the hash,
+// never built as a string.
 func ModuleHash(m *ir.Module) string {
-	h := sha256.Sum256([]byte(ir.Print(m)))
-	return hex.EncodeToString(h[:])
+	h := sha256.New()
+	w := bufio.NewWriter(h)
+	ir.PrintTo(w, m)
+	w.Flush() // a hash never fails a write
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // CacheKey combines a module content hash with a configuration.

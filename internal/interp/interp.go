@@ -3,13 +3,13 @@
 // summaries) with a precise memory model, and optionally records every
 // pointer value each instruction produces.
 //
-// The interpreter exists to validate the rest of the system dynamically:
-//
-//   - optimization passes must preserve observable behaviour
-//     (differential testing in internal/opt);
-//   - the points-to analysis must over-approximate reality: every pointer
-//     an instruction actually held at runtime must appear in its analyzed
-//     points-to set (dynamic soundness testing in internal/core).
+// The interpreter exists to validate the rest of the system dynamically.
+// Its one user today is the differential test in internal/opt, which
+// checks that optimization passes preserve observable behaviour. The
+// pointer recording is there for a dynamic soundness check of the
+// points-to analysis (every pointer an instruction actually held at
+// runtime must appear in its analyzed points-to set); no test in
+// internal/core runs one yet.
 package interp
 
 import (

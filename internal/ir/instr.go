@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"io"
 	"strings"
 )
 
@@ -117,67 +118,72 @@ func (in *Instr) CallArgs() []Value { return in.Args[1:] }
 // String renders the instruction in MIR textual syntax.
 func (in *Instr) String() string {
 	var b strings.Builder
+	in.print(&b)
+	return b.String()
+}
+
+// print writes the instruction in MIR textual syntax to w.
+func (in *Instr) print(w io.Writer) {
 	if in.Op.HasResult() {
-		fmt.Fprintf(&b, "%%%s = ", in.IName)
+		fmt.Fprintf(w, "%%%s = ", in.IName)
 	}
 	switch in.Op {
 	case OpAlloca:
-		fmt.Fprintf(&b, "alloca %s", in.Ty)
+		fmt.Fprintf(w, "alloca %s", in.Ty)
 	case OpLoad:
-		fmt.Fprintf(&b, "load %s, %s", in.Ty, in.Args[0].Ident())
+		fmt.Fprintf(w, "load %s, %s", in.Ty, in.Args[0].Ident())
 	case OpStore:
-		fmt.Fprintf(&b, "store %s, %s", in.Args[0].Ident(), in.Args[1].Ident())
+		fmt.Fprintf(w, "store %s, %s", in.Args[0].Ident(), in.Args[1].Ident())
 	case OpGEP:
-		fmt.Fprintf(&b, "gep %s, %s", in.Ty, in.Args[0].Ident())
+		fmt.Fprintf(w, "gep %s, %s", in.Ty, in.Args[0].Ident())
 		for _, a := range in.Args[1:] {
-			fmt.Fprintf(&b, ", %s", a.Ident())
+			fmt.Fprintf(w, ", %s", a.Ident())
 		}
 	case OpMemcpy:
-		fmt.Fprintf(&b, "memcpy %s, %s, %s",
+		fmt.Fprintf(w, "memcpy %s, %s, %s",
 			in.Args[0].Ident(), in.Args[1].Ident(), in.Args[2].Ident())
 	case OpBitcast:
-		fmt.Fprintf(&b, "bitcast %s, %s", in.T, in.Args[0].Ident())
+		fmt.Fprintf(w, "bitcast %s, %s", in.T, in.Args[0].Ident())
 	case OpPtrToInt:
-		fmt.Fprintf(&b, "ptrtoint %s", in.Args[0].Ident())
+		fmt.Fprintf(w, "ptrtoint %s", in.Args[0].Ident())
 	case OpIntToPtr:
-		fmt.Fprintf(&b, "inttoptr %s", in.Args[0].Ident())
+		fmt.Fprintf(w, "inttoptr %s", in.Args[0].Ident())
 	case OpPhi:
-		fmt.Fprintf(&b, "phi %s", in.T)
+		fmt.Fprintf(w, "phi %s", in.T)
 		for i, a := range in.Args {
-			fmt.Fprintf(&b, ", [%s, %s]", a.Ident(), in.Blocks[i].BName)
+			fmt.Fprintf(w, ", [%s, %s]", a.Ident(), in.Blocks[i].BName)
 		}
 	case OpSelect:
-		fmt.Fprintf(&b, "select %s, %s, %s",
+		fmt.Fprintf(w, "select %s, %s, %s",
 			in.Args[0].Ident(), in.Args[1].Ident(), in.Args[2].Ident())
 	case OpCall:
-		fmt.Fprintf(&b, "call %s, %s(", in.Type(), in.Args[0].Ident())
+		fmt.Fprintf(w, "call %s, %s(", in.Type(), in.Args[0].Ident())
 		for i, a := range in.Args[1:] {
 			if i > 0 {
-				b.WriteString(", ")
+				io.WriteString(w, ", ")
 			}
-			b.WriteString(a.Ident())
+			io.WriteString(w, a.Ident())
 		}
-		b.WriteString(")")
+		io.WriteString(w, ")")
 	case OpRet:
-		b.WriteString("ret")
+		io.WriteString(w, "ret")
 		if len(in.Args) > 0 {
-			fmt.Fprintf(&b, " %s", in.Args[0].Ident())
+			fmt.Fprintf(w, " %s", in.Args[0].Ident())
 		}
 	case OpBr:
-		fmt.Fprintf(&b, "br %s", in.Blocks[0].BName)
+		fmt.Fprintf(w, "br %s", in.Blocks[0].BName)
 	case OpCondBr:
-		fmt.Fprintf(&b, "condbr %s, %s, %s",
+		fmt.Fprintf(w, "condbr %s, %s, %s",
 			in.Args[0].Ident(), in.Blocks[0].BName, in.Blocks[1].BName)
 	case OpUnreachable:
-		b.WriteString("unreachable")
+		io.WriteString(w, "unreachable")
 	case OpBin:
-		fmt.Fprintf(&b, "%s %s, %s, %s", in.Sub, in.T, in.Args[0].Ident(), in.Args[1].Ident())
+		fmt.Fprintf(w, "%s %s, %s, %s", in.Sub, in.T, in.Args[0].Ident(), in.Args[1].Ident())
 	case OpICmp:
-		fmt.Fprintf(&b, "icmp %s, %s, %s", in.Sub, in.Args[0].Ident(), in.Args[1].Ident())
+		fmt.Fprintf(w, "icmp %s, %s, %s", in.Sub, in.Args[0].Ident(), in.Args[1].Ident())
 	default:
-		fmt.Fprintf(&b, "<%s>", in.Op)
+		fmt.Fprintf(w, "<%s>", in.Op)
 	}
-	return b.String()
 }
 
 // BinKinds lists the valid Sub values for OpBin.

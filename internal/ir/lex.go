@@ -42,12 +42,16 @@ func (t token) String() string {
 	}
 }
 
+// lexer produces MIR tokens on demand. After an invalid byte it records
+// the error in err and returns end-of-input from then on.
 type lexer struct {
 	src  string
 	pos  int
 	line int
-	toks []token
+	err  error
 }
+
+func newLexer(src string) lexer { return lexer{src: src, line: 1} }
 
 func isIdentStart(r byte) bool {
 	return r == '_' || r == '.' || unicode.IsLetter(rune(r))
@@ -57,10 +61,17 @@ func isIdentPart(r byte) bool {
 	return r == '_' || r == '.' || unicode.IsLetter(rune(r)) || unicode.IsDigit(rune(r))
 }
 
-// lex tokenizes src into tokens, returning an error with line information on
-// an invalid byte.
-func lex(src string) ([]token, error) {
-	l := &lexer{src: src, line: 1}
+// fail records a lexical error (with line information) and returns the
+// end-of-input token that every later scan repeats.
+func (l *lexer) fail(format string, args ...interface{}) token {
+	l.err = fmt.Errorf("line %d: %s", l.line, fmt.Sprintf(format, args...))
+	l.pos = len(l.src)
+	return token{tEOF, "", l.line}
+}
+
+// scan returns the next token, or tEOF at the end of the input or after a
+// lexical error.
+func (l *lexer) scan() token {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
 		switch {
@@ -80,13 +91,13 @@ func lex(src string) ([]token, error) {
 				l.pos++
 			}
 			if l.pos == start {
-				return nil, fmt.Errorf("line %d: dangling %q", l.line, string(c))
+				return l.fail("dangling %q", string(c))
 			}
 			kind := tLocal
 			if c == '@' {
 				kind = tGlobalID
 			}
-			l.toks = append(l.toks, token{kind, l.src[start:l.pos], l.line})
+			return token{kind, l.src[start:l.pos], l.line}
 		case c == '"':
 			start := l.pos
 			l.pos++
@@ -97,17 +108,17 @@ func lex(src string) ([]token, error) {
 				l.pos++
 			}
 			if l.pos >= len(l.src) || l.src[l.pos] != '"' {
-				return nil, fmt.Errorf("line %d: unterminated string", l.line)
+				return l.fail("unterminated string")
 			}
 			l.pos++
 			text, err := strconv.Unquote(l.src[start:l.pos])
 			if err != nil {
-				return nil, fmt.Errorf("line %d: bad string literal: %v", l.line, err)
+				return l.fail("bad string literal: %v", err)
 			}
-			l.toks = append(l.toks, token{tString, text, l.line})
+			return token{tString, text, l.line}
 		case c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '>':
-			l.toks = append(l.toks, token{tPunct, "->", l.line})
 			l.pos += 2
+			return token{tPunct, "->", l.line}
 		case c == '-' || c >= '0' && c <= '9':
 			start := l.pos
 			if c == '-' {
@@ -131,28 +142,34 @@ func lex(src string) ([]token, error) {
 			}
 			text := l.src[start:l.pos]
 			if text == "-" {
-				return nil, fmt.Errorf("line %d: dangling '-'", l.line)
+				return l.fail("dangling '-'")
 			}
 			kind := tInt
 			if isFloat {
 				kind = tFloat
 			}
-			l.toks = append(l.toks, token{kind, text, l.line})
+			return token{kind, text, l.line}
 		case isIdentStart(c):
 			start := l.pos
 			for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 				l.pos++
 			}
-			l.toks = append(l.toks, token{tIdent, l.src[start:l.pos], l.line})
+			return token{tIdent, l.src[start:l.pos], l.line}
 		case strings.ContainsRune("(){}[],:=x", rune(c)):
 			// 'x' appears only inside array types "[4 x i32]" and is
 			// lexed as an ident above; remaining single glyphs:
-			l.toks = append(l.toks, token{tPunct, string(c), l.line})
 			l.pos++
+			return token{tPunct, string(c), l.line}
 		default:
-			return nil, fmt.Errorf("line %d: unexpected character %q", l.line, string(c))
+			return l.fail("unexpected character %q", string(c))
 		}
 	}
-	l.toks = append(l.toks, token{tEOF, "", l.line})
-	return l.toks, nil
+	return token{tEOF, "", l.line}
+}
+
+// drain scans to the end of the input, so that err reports a lexical
+// error anywhere in it.
+func (l *lexer) drain() {
+	for l.scan().kind != tEOF {
+	}
 }

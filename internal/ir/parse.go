@@ -10,12 +10,18 @@ import (
 // reference each other freely (initializers and call targets are resolved
 // after the whole module has been read).
 func Parse(src string) (*Module, error) {
-	toks, err := lex(src)
+	p := &parser{lx: newLexer(src), m: NewModule("")}
+	p.tok = p.lx.scan()
+	err := p.parseModule()
+	// A lexical error anywhere in the input takes precedence over a parse
+	// error, as if the whole input had been tokenized first.
 	if err != nil {
-		return nil, err
+		p.lx.drain()
 	}
-	p := &parser{toks: toks, m: NewModule("")}
-	if err := p.parseModule(); err != nil {
+	if p.lx.err != nil {
+		return nil, p.lx.err
+	}
+	if err != nil {
 		return nil, err
 	}
 	return p.m, nil
@@ -30,14 +36,25 @@ func MustParse(src string) *Module {
 	return m
 }
 
+// parser pulls tokens from the lexer through a two-token window: tok is
+// the current token, ahead the one after it once peek2 has scanned it.
 type parser struct {
-	toks []token
-	pos  int
-	m    *Module
+	lx       lexer
+	tok      token
+	ahead    token
+	hasAhead bool
+	m        *Module
 
 	// pending module-level symbol references, resolved at the end.
 	globalInits []pendingInit
 	callCounter int
+
+	// Per-function scratch, reused from one function body to the next:
+	// the body's instruction stubs, their operand references, and its
+	// local names.
+	stubs  []instrStub
+	refs   []operandRef
+	locals map[string]Value
 }
 
 type pendingInit struct {
@@ -48,8 +65,26 @@ type pendingInit struct {
 	line int
 }
 
-func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+func (p *parser) peek() token { return p.tok }
+
+func (p *parser) next() token {
+	t := p.tok
+	if p.hasAhead {
+		p.tok, p.hasAhead = p.ahead, false
+	} else {
+		p.tok = p.lx.scan()
+	}
+	return t
+}
+
+// peek2 returns the token after the current one.
+func (p *parser) peek2() token {
+	if !p.hasAhead {
+		p.ahead, p.hasAhead = p.lx.scan(), true
+	}
+	return p.ahead
+}
+
 func (p *parser) errf(t token, format string, args ...interface{}) error {
 	return fmt.Errorf("line %d: %s", t.line, fmt.Sprintf(format, args...))
 }
@@ -64,7 +99,7 @@ func (p *parser) expectPunct(glyph string) error {
 
 func (p *parser) acceptPunct(glyph string) bool {
 	if p.peek().kind == tPunct && p.peek().text == glyph {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -72,7 +107,7 @@ func (p *parser) acceptPunct(glyph string) bool {
 
 func (p *parser) acceptIdent(word string) bool {
 	if p.peek().kind == tIdent && p.peek().text == word {
-		p.pos++
+		p.next()
 		return true
 	}
 	return false
@@ -505,18 +540,21 @@ func (p *parser) parseOperandRef() (operandRef, error) {
 	}
 }
 
+// instrStub is a parsed instruction whose operands and block targets are
+// still names; its operands are p.refs[refStart:refEnd].
 type instrStub struct {
-	in        *Instr
-	operands  []operandRef
-	blockRefs []string
-	line      int
+	in               *Instr
+	refStart, refEnd int
+	blockRefs        []string
+	line             int
 }
 
 func (p *parser) parseFuncBody(f *Function) error {
 	if err := p.expectPunct("{"); err != nil {
 		return err
 	}
-	var stubs []*instrStub
+	stubs := p.stubs[:0]
+	p.refs = p.refs[:0]
 	blocks := map[string]*Block{}
 	var cur *Block
 	for !p.acceptPunct("}") {
@@ -525,9 +563,10 @@ func (p *parser) parseFuncBody(f *Function) error {
 			return p.errf(t, "unexpected end of input in func @%s", f.FName)
 		}
 		// Block label: ident ':'
-		if t.kind == tIdent && p.toks[p.pos+1].kind == tPunct && p.toks[p.pos+1].text == ":" &&
+		if t.kind == tIdent && p.peek2().kind == tPunct && p.peek2().text == ":" &&
 			!isInstrStart(t.text) {
-			p.pos += 2
+			p.next()
+			p.next()
 			if blocks[t.text] != nil {
 				return p.errf(t, "duplicate block %s", t.text)
 			}
@@ -547,6 +586,7 @@ func (p *parser) parseFuncBody(f *Function) error {
 		cur.Instrs = append(cur.Instrs, stub.in)
 		stubs = append(stubs, stub)
 	}
+	p.stubs = stubs
 	return p.resolveFuncRefs(f, blocks, stubs)
 }
 
@@ -562,8 +602,12 @@ func isInstrStart(word string) bool {
 	return IsBinKind(word)
 }
 
-func (p *parser) resolveFuncRefs(f *Function, blocks map[string]*Block, stubs []*instrStub) error {
-	locals := map[string]Value{}
+func (p *parser) resolveFuncRefs(f *Function, blocks map[string]*Block, stubs []instrStub) error {
+	if p.locals == nil {
+		p.locals = make(map[string]Value, len(f.Params)+len(stubs))
+	}
+	locals := p.locals
+	clear(locals)
 	for _, prm := range f.Params {
 		locals[prm.PName] = prm
 	}
@@ -576,7 +620,10 @@ func (p *parser) resolveFuncRefs(f *Function, blocks map[string]*Block, stubs []
 		}
 	}
 	for _, s := range stubs {
-		for _, ref := range s.operands {
+		if s.refEnd > s.refStart {
+			s.in.Args = make([]Value, 0, s.refEnd-s.refStart)
+		}
+		for _, ref := range p.refs[s.refStart:s.refEnd] {
 			v, err := p.resolveOperand(ref, locals)
 			if err != nil {
 				return err
@@ -619,20 +666,20 @@ func (p *parser) resolveOperand(ref operandRef, locals map[string]Value) (Value,
 }
 
 // parseInstr parses one instruction into a stub with unresolved operands.
-func (p *parser) parseInstr() (*instrStub, error) {
+func (p *parser) parseInstr() (instrStub, error) {
 	t := p.peek()
-	stub := &instrStub{in: &Instr{T: Void}, line: t.line}
+	stub := instrStub{in: &Instr{T: Void}, refStart: len(p.refs), line: t.line}
 	// Optional "%name =" result.
 	if t.kind == tLocal {
 		p.next()
 		stub.in.IName = t.text
 		if err := p.expectPunct("="); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		t = p.peek()
 	}
 	if t.kind != tIdent {
-		return nil, p.errf(t, "expected an instruction, found %s", t)
+		return instrStub{}, p.errf(t, "expected an instruction, found %s", t)
 	}
 	op := p.next().text
 	operand := func() error {
@@ -640,7 +687,7 @@ func (p *parser) parseInstr() (*instrStub, error) {
 		if err != nil {
 			return err
 		}
-		stub.operands = append(stub.operands, ref)
+		p.refs = append(p.refs, ref)
 		return nil
 	}
 	comma := func() error { return p.expectPunct(",") }
@@ -659,50 +706,50 @@ func (p *parser) parseInstr() (*instrStub, error) {
 		stub.in.T = Ptr
 		ty, err := p.parseType()
 		if err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		stub.in.Ty = ty
 	case op == "load":
 		stub.in.Op = OpLoad
 		ty, err := p.parseType()
 		if err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		stub.in.T, stub.in.Ty = ty, ty
 		if err := comma(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := operand(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 	case op == "store":
 		stub.in.Op = OpStore
 		if err := operand(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := comma(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := operand(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 	case op == "gep":
 		stub.in.Op = OpGEP
 		stub.in.T = Ptr
 		ty, err := p.parseType()
 		if err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		stub.in.Ty = ty
 		if err := comma(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := operand(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		for p.acceptPunct(",") {
 			if err := operand(); err != nil {
-				return nil, err
+				return instrStub{}, err
 			}
 		}
 	case op == "memcpy":
@@ -710,75 +757,75 @@ func (p *parser) parseInstr() (*instrStub, error) {
 		for i := 0; i < 3; i++ {
 			if i > 0 {
 				if err := comma(); err != nil {
-					return nil, err
+					return instrStub{}, err
 				}
 			}
 			if err := operand(); err != nil {
-				return nil, err
+				return instrStub{}, err
 			}
 		}
 	case op == "bitcast":
 		stub.in.Op = OpBitcast
 		ty, err := p.parseType()
 		if err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		stub.in.T, stub.in.Ty = ty, ty
 		if err := comma(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := operand(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 	case op == "ptrtoint":
 		stub.in.Op = OpPtrToInt
 		stub.in.T = I64
 		if err := operand(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 	case op == "inttoptr":
 		stub.in.Op = OpIntToPtr
 		stub.in.T = Ptr
 		if err := operand(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 	case op == "phi":
 		stub.in.Op = OpPhi
 		ty, err := p.parseType()
 		if err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		stub.in.T = ty
 		for p.acceptPunct(",") {
 			if err := p.expectPunct("["); err != nil {
-				return nil, err
+				return instrStub{}, err
 			}
 			if err := operand(); err != nil {
-				return nil, err
+				return instrStub{}, err
 			}
 			if err := comma(); err != nil {
-				return nil, err
+				return instrStub{}, err
 			}
 			if err := blockRef(); err != nil {
-				return nil, err
+				return instrStub{}, err
 			}
 			if err := p.expectPunct("]"); err != nil {
-				return nil, err
+				return instrStub{}, err
 			}
 		}
-		if len(stub.operands) == 0 {
-			return nil, p.errf(t, "phi needs at least one incoming value")
+		if len(p.refs) == stub.refStart {
+			return instrStub{}, p.errf(t, "phi needs at least one incoming value")
 		}
 	case op == "select":
 		stub.in.Op = OpSelect
 		for i := 0; i < 3; i++ {
 			if i > 0 {
 				if err := comma(); err != nil {
-					return nil, err
+					return instrStub{}, err
 				}
 			}
 			if err := operand(); err != nil {
-				return nil, err
+				return instrStub{}, err
 			}
 		}
 		// The result type is fixed after resolution; recorded lazily as
@@ -790,26 +837,26 @@ func (p *parser) parseInstr() (*instrStub, error) {
 		stub.in.Op = OpCall
 		ty, err := p.parseType()
 		if err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		stub.in.T = ty
 		if err := comma(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := operand(); err != nil { // callee
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := p.expectPunct("("); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		for !p.acceptPunct(")") {
-			if len(stub.operands) > 1 {
+			if len(p.refs)-stub.refStart > 1 {
 				if err := comma(); err != nil {
-					return nil, err
+					return instrStub{}, err
 				}
 			}
 			if err := operand(); err != nil {
-				return nil, err
+				return instrStub{}, err
 			}
 		}
 	case op == "ret":
@@ -819,30 +866,30 @@ func (p *parser) parseInstr() (*instrStub, error) {
 		if nt.kind == tLocal || nt.kind == tGlobalID || nt.kind == tInt || nt.kind == tFloat ||
 			nt.kind == tIdent && (nt.text == "null" || nt.text == "undef" || nt.text == "zero") {
 			if err := operand(); err != nil {
-				return nil, err
+				return instrStub{}, err
 			}
 		}
 	case op == "br":
 		stub.in.Op = OpBr
 		if err := blockRef(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 	case op == "condbr":
 		stub.in.Op = OpCondBr
 		if err := operand(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := comma(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := blockRef(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := comma(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := blockRef(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 	case op == "unreachable":
 		stub.in.Op = OpUnreachable
@@ -851,43 +898,43 @@ func (p *parser) parseInstr() (*instrStub, error) {
 		stub.in.T = I1
 		pred := p.next()
 		if pred.kind != tIdent || !IsICmpPred(pred.text) {
-			return nil, p.errf(pred, "expected an icmp predicate, found %s", pred)
+			return instrStub{}, p.errf(pred, "expected an icmp predicate, found %s", pred)
 		}
 		stub.in.Sub = pred.text
 		if err := comma(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := operand(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := comma(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := operand(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 	case IsBinKind(op):
 		stub.in.Op = OpBin
 		stub.in.Sub = op
 		ty, err := p.parseType()
 		if err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		stub.in.T = ty
 		if err := comma(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := operand(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := comma(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 		if err := operand(); err != nil {
-			return nil, err
+			return instrStub{}, err
 		}
 	default:
-		return nil, p.errf(t, "unknown instruction %q", op)
+		return instrStub{}, p.errf(t, "unknown instruction %q", op)
 	}
 	if stub.in.Op.HasResult() && stub.in.IName == "" {
 		if stub.in.Op == OpCall && TypesEqual(stub.in.T, Void) {
@@ -896,11 +943,12 @@ func (p *parser) parseInstr() (*instrStub, error) {
 			p.callCounter++
 			stub.in.IName = fmt.Sprintf("call.%d", p.callCounter)
 		} else {
-			return nil, p.errf(t, "%s requires a result name", op)
+			return instrStub{}, p.errf(t, "%s requires a result name", op)
 		}
 	}
 	if !stub.in.Op.HasResult() && stub.in.IName != "" {
-		return nil, p.errf(t, "%s does not produce a result", op)
+		return instrStub{}, p.errf(t, "%s does not produce a result", op)
 	}
+	stub.refEnd = len(p.refs)
 	return stub, nil
 }

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"io"
 	"strings"
 )
 
@@ -9,40 +10,50 @@ import (
 // through Parse.
 func Print(m *Module) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "module %q\n", m.Name)
+	PrintTo(&b, m)
+	return b.String()
+}
+
+// PrintTo writes exactly the text Print returns to w, so a caller that
+// only consumes the text (a hash, a file) need not build it. It issues
+// many small writes and ignores their errors: give it a bufio.Writer,
+// which keeps the first error and reports it from Flush.
+func PrintTo(w io.Writer, m *Module) {
+	fmt.Fprintf(w, "module %q\n", m.Name)
 	for _, s := range m.Structs {
 		fields := make([]string, len(s.Fields))
 		for i, f := range s.Fields {
 			fields[i] = f.String()
 		}
-		fmt.Fprintf(&b, "struct %%%s = { %s }\n", s.Name, strings.Join(fields, ", "))
+		fmt.Fprintf(w, "struct %%%s = { %s }\n", s.Name, strings.Join(fields, ", "))
 	}
 	for _, g := range m.Globals {
 		if g.Linkage == Declared {
-			fmt.Fprintf(&b, "declare global @%s : %s\n", g.GName, g.Elem)
+			fmt.Fprintf(w, "declare global @%s : %s\n", g.GName, g.Elem)
 			continue
 		}
-		fmt.Fprintf(&b, "global @%s : %s", g.GName, g.Elem)
+		fmt.Fprintf(w, "global @%s : %s", g.GName, g.Elem)
 		if g.Init != nil {
-			fmt.Fprintf(&b, " = %s", g.Init.Ident())
+			fmt.Fprintf(w, " = %s", g.Init.Ident())
 		}
-		fmt.Fprintf(&b, " %s\n", g.Linkage)
+		fmt.Fprintf(w, " %s\n", g.Linkage)
 	}
 	for _, f := range m.Funcs {
 		if f.IsDecl() {
-			fmt.Fprintf(&b, "declare func @%s%s\n", f.FName, sigString(f.Sig, nil))
+			fmt.Fprintf(w, "declare func @%s%s\n", f.FName, sigString(f.Sig, nil))
 			continue
 		}
-		fmt.Fprintf(&b, "\nfunc @%s%s %s {\n", f.FName, sigString(f.Sig, f.Params), f.Linkage)
+		fmt.Fprintf(w, "\nfunc @%s%s %s {\n", f.FName, sigString(f.Sig, f.Params), f.Linkage)
 		for _, blk := range f.Blocks {
-			fmt.Fprintf(&b, "%s:\n", blk.BName)
+			fmt.Fprintf(w, "%s:\n", blk.BName)
 			for _, in := range blk.Instrs {
-				fmt.Fprintf(&b, "  %s\n", in)
+				io.WriteString(w, "  ")
+				in.print(w)
+				io.WriteString(w, "\n")
 			}
 		}
-		b.WriteString("}\n")
+		io.WriteString(w, "}\n")
 	}
-	return b.String()
 }
 
 func sigString(sig *FuncType, params []*Param) string {

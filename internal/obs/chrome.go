@@ -58,7 +58,7 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 	if t == nil {
 		return fmt.Errorf("obs: cannot export a nil trace")
 	}
-	recs := t.snapshot()
+	recs := t.snapshot(allTracks)
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].start < recs[j].start })
 	names := t.trackNames()
 

@@ -46,7 +46,7 @@ func TestSpanEventCounterRecording(t *testing.T) {
 	inner.End()
 	sp.End(N("firings", 100))
 
-	recs := tr.snapshot()
+	recs := tr.snapshot(allTracks)
 	if len(recs) != 4 {
 		t.Fatalf("got %d records, want 4", len(recs))
 	}

@@ -4,14 +4,18 @@
 // service exports on /metrics.
 //
 // The recorder is built for the solver's hot loops. Recording claims a slot
-// in a preallocated ring of records with one atomic add — no locks, no
-// allocation — and every recording method on a nil *Trace (or the zero
-// Track) returns immediately, so instrumented code pays a single pointer
-// test when tracing is off. When the ring fills, further records are
-// dropped and counted rather than overwriting earlier ones: a span that is
-// still open owns its slot until End, so overwrite semantics would tear
-// open spans, and for a solve trace the head of the run (offline phases,
-// first waves) is the part that explains the rest.
+// in a bounded ring of records with one atomic add — no locks — and every
+// recording method on a nil *Trace (or the zero Track) returns
+// immediately, so instrumented code pays a single pointer test when
+// tracing is off. The ring is allocated by use: its slots live in
+// segments of 64, 128, 256, ... records, each allocated by the first
+// record that lands in it and published with a compare-and-swap, so a
+// trace that records ten spans costs one small segment however large its
+// capacity. When the ring fills, further records are dropped and counted
+// rather than overwriting earlier ones: a span that is still open owns its
+// slot until End, so overwrite semantics would tear open spans, and for a
+// solve trace the head of the run (offline phases, first waves) is the
+// part that explains the rest.
 //
 // Traces export to Chrome trace_event JSON (loadable in Perfetto or
 // chrome://tracing, see chrome.go) and to a plain-text phase tree
@@ -21,6 +25,7 @@ package obs
 import (
 	"crypto/rand"
 	"encoding/hex"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -28,10 +33,28 @@ import (
 )
 
 // DefaultCapacity is the record capacity New uses when the caller passes
-// a non-positive one. At 64 bytes + args per record this bounds a trace
-// to a few MiB, enough for the full phase tree and sampled profiles of a
-// corpus-sized solve.
+// a non-positive one. At 216 bytes per record (four inline arguments
+// included) a full trace holds about 14 MiB, enough for the full phase
+// tree and sampled profiles of a corpus-sized solve; segments are
+// allocated only as records arrive, so a short trace costs far less.
 const DefaultCapacity = 1 << 16
+
+// Ring segments: segment k holds segFirst<<k records and starts at record
+// segFirst*(2^k - 1). maxSegments segments cover any int capacity.
+const (
+	segShift    = 6
+	segFirst    = 1 << segShift
+	maxSegments = 64 - segShift
+)
+
+// segmentOf maps a record index to its segment and the offset within it.
+func segmentOf(i uint64) (k int, off uint64) {
+	k = bits.Len64(i>>segShift+1) - 1
+	return k, i - segStart(k)
+}
+
+// segStart is the index of segment k's first record.
+func segStart(k int) uint64 { return segFirst * (1<<k - 1) }
 
 // KV is one argument attached to a span or event. Num carries numeric
 // arguments; a non-empty Str takes precedence and carries string
@@ -94,9 +117,10 @@ type Trace struct {
 	label string
 	start time.Time
 
-	buf     []record
-	cursor  atomic.Uint64
-	dropped atomic.Uint64
+	capacity uint64
+	segs     [maxSegments]atomic.Pointer[[]record]
+	cursor   atomic.Uint64
+	dropped  atomic.Uint64
 
 	// Track registration is rare (a handful per trace), so a mutex is
 	// fine here; recording itself never takes it.
@@ -111,10 +135,10 @@ func New(label string, capacity int) *Trace {
 		capacity = DefaultCapacity
 	}
 	return &Trace{
-		id:    NewID(),
-		label: label,
-		start: time.Now(),
-		buf:   make([]record, capacity),
+		id:       NewID(),
+		label:    label,
+		start:    time.Now(),
+		capacity: uint64(capacity),
 	}
 }
 
@@ -161,11 +185,7 @@ func (t *Trace) Len() int {
 	if t == nil {
 		return 0
 	}
-	n := t.cursor.Load()
-	if n > uint64(len(t.buf)) {
-		return len(t.buf)
-	}
-	return int(n)
+	return int(min(t.cursor.Load(), t.capacity))
 }
 
 // Dropped returns the number of records dropped because the ring was full.
@@ -182,13 +202,30 @@ func (t *Trace) now() int64 { return int64(time.Since(t.start)) }
 // claim reserves the next record slot, or nil when the ring is full.
 func (t *Trace) claim() *record {
 	i := t.cursor.Add(1) - 1
-	if i >= uint64(len(t.buf)) {
+	if i >= t.capacity {
 		t.dropped.Add(1)
 		return nil
 	}
-	r := &t.buf[i]
+	k, off := segmentOf(i)
+	seg := t.segs[k].Load()
+	if seg == nil {
+		seg = t.grow(k)
+	}
+	r := &(*seg)[off]
 	r.state.Store(stateFilling)
 	return r
+}
+
+// grow allocates segment k and publishes it. Writers that race to the
+// same fresh segment each allocate one; the first CAS wins and the rest
+// drop their copy and use the winner's.
+func (t *Trace) grow(k int) *[]record {
+	start := segStart(k)
+	seg := make([]record, min(segFirst<<k, t.capacity-start))
+	if t.segs[k].CompareAndSwap(nil, &seg) {
+		return &seg
+	}
+	return t.segs[k].Load()
 }
 
 // Track is one logical lane of a trace (a solver phase stack, a worker
@@ -376,7 +413,22 @@ func (t *Trace) Export() []Record {
 	if t == nil {
 		return nil
 	}
-	recs := t.snapshot()
+	return t.export(allTracks)
+}
+
+// Export returns the lane's own records, in the form and order Trace.Export
+// gives them. Records on other lanes are skipped before they are copied or
+// sorted, so exporting one request's lane of a shared trace costs that
+// lane's records, not the whole trace's.
+func (tk Track) Export() []Record {
+	if tk.tr == nil {
+		return nil
+	}
+	return tk.tr.export(tk.tid)
+}
+
+func (t *Trace) export(track int32) []Record {
+	recs := t.snapshot(track)
 	sort.SliceStable(recs, func(i, j int) bool { return recs[i].start < recs[j].start })
 	names := t.trackNames()
 	out := make([]Record, 0, len(recs))
@@ -399,37 +451,55 @@ func (t *Trace) Export() []Record {
 	return out
 }
 
-// snapshot returns a consistent copy of every published record, closing
-// still-open spans at the current time. Safe to call while recording
-// continues: slots still being filled are skipped.
-func (t *Trace) snapshot() []exported {
+// allTracks is the snapshot filter that keeps every lane.
+const allTracks int32 = -1
+
+// snapshot returns a consistent copy of every published record on the
+// given lane (allTracks for all of them), closing still-open spans at the
+// current time. Safe to call while recording continues: slots still being
+// filled are skipped, and so are segments not yet published — snapshot
+// never allocates one.
+func (t *Trace) snapshot(track int32) []exported {
 	if t == nil {
 		return nil
 	}
-	n := t.Len()
+	n := uint64(t.Len())
 	now := t.now()
-	out := make([]exported, 0, n)
-	for i := 0; i < n; i++ {
-		r := &t.buf[i]
-		st := r.state.Load()
-		if st != stateComplete && st != stateOpenSpan {
+	var out []exported
+	if track == allTracks {
+		out = make([]exported, 0, n)
+	}
+	for k := 0; segStart(k) < n; k++ {
+		seg := t.segs[k].Load()
+		if seg == nil {
 			continue
 		}
-		na := r.nargs.Load()
-		c := exported{
-			kind:  r.kind,
-			track: r.track,
-			start: r.start,
-			name:  r.name,
-			args:  append([]KV(nil), r.args[:na]...),
+		recs := (*seg)[:min(uint64(len(*seg)), n-segStart(k))]
+		for i := range recs {
+			r := &recs[i]
+			st := r.state.Load()
+			if st != stateComplete && st != stateOpenSpan {
+				continue
+			}
+			if track != allTracks && r.track != track {
+				continue
+			}
+			na := r.nargs.Load()
+			c := exported{
+				kind:  r.kind,
+				track: r.track,
+				start: r.start,
+				name:  r.name,
+				args:  append([]KV(nil), r.args[:na]...),
+			}
+			if d := r.dur.Load(); d >= 0 {
+				c.dur = d
+			} else {
+				c.dur = now - r.start // span still open: clip to now
+				c.open = true
+			}
+			out = append(out, c)
 		}
-		if d := r.dur.Load(); d >= 0 {
-			c.dur = d
-		} else {
-			c.dur = now - r.start // span still open: clip to now
-			c.open = true
-		}
-		out = append(out, c)
 	}
 	return out
 }

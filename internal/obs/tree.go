@@ -16,7 +16,7 @@ func (t *Trace) Tree() string {
 	if t == nil {
 		return "(tracing disabled)\n"
 	}
-	recs := t.snapshot()
+	recs := t.snapshot(allTracks)
 	names := t.trackNames()
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace %s (%s): %d records", t.ID(), t.Label(), len(recs))

@@ -24,7 +24,9 @@ import (
 // Trace-path bounds: how many distinct trace IDs a process retains for
 // /debug/trace, and the record capacity of each per-trace ring. Requests
 // sharing a trace ID share one ring (their lanes are distinguished by
-// request ID), so the capacity covers a multi-request trace.
+// request ID), so the capacity covers a multi-request trace; a ring
+// allocates its segments as records arrive, so a one-request trace costs
+// one small segment, not the capacity.
 const (
 	DefaultTraceIndexSize    = 256
 	DefaultTraceRecords      = 1 << 12
@@ -195,7 +197,7 @@ func traced(traces *traceIndex, flight *obs.FlightRecorder, dropped *atomic.Uint
 			Start:      start.UnixNano(),
 			DurationNS: time.Since(start).Nanoseconds(),
 			Dropped:    tr.Dropped(),
-			Spans:      laneSpans(tr, "req-"+reqID),
+			Spans:      lane.Export(),
 		})
 		if ow.degraded {
 			flight.Trigger(flightTriggerDegraded, r.URL.Path)
@@ -206,19 +208,6 @@ func traced(traces *traceIndex, flight *obs.FlightRecorder, dropped *atomic.Uint
 // traced is the Server's instance of the shared tracing middleware.
 func (s *Server) traced(h http.HandlerFunc) http.HandlerFunc {
 	return traced(s.traces, s.flight, &s.traceDropped, "pipserve", h)
-}
-
-// laneSpans filters a trace's exported records down to one lane — the
-// request's own spans, for its flight-recorder record.
-func laneSpans(tr *obs.Trace, lane string) []obs.Record {
-	all := tr.Export()
-	out := make([]obs.Record, 0, 8)
-	for _, rec := range all {
-		if rec.Track == lane {
-			out = append(out, rec)
-		}
-	}
-	return out
 }
 
 // handleTrace serves GET /debug/trace?id=<trace-id>: the process's spans
