@@ -94,8 +94,9 @@ differential:
 	$(GO) test -race -run Differential -v ./internal/core/differential/
 
 # Short bounded fuzz pass over the solver-vs-reference oracle, engine
-# recovery, incremental edits, demand slices and the MIR parser (checked
-# against the whole-input reference lexer); the other targets' seed
+# recovery, incremental edits, demand slices, the MIR parser (checked
+# against the whole-input reference lexer) and C edit scripts through
+# pip.Session (checked against from-scratch analyses); the other targets' seed
 # corpora run via plain `make test`. Go's fuzzer allows one fuzz target
 # per invocation, so each runs separately. Override FUZZTIME for longer
 # campaigns.
@@ -106,6 +107,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzIncrementalEdit -fuzztime=$(FUZZTIME) ./internal/core/differential/
 	$(GO) test -run=^$$ -fuzz=FuzzDemandSlice -fuzztime=$(FUZZTIME) ./internal/core/differential/
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/ir/
+	$(GO) test -run=^$$ -fuzz=FuzzCEdit -fuzztime=$(FUZZTIME) .
 
 # Edit-script differential gate for incremental re-solving plus the
 # demand-vs-exhaustive oracle, under the race detector (the CI

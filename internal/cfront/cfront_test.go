@@ -387,6 +387,37 @@ func TestParserErrors(t *testing.T) {
 	}
 }
 
+// TestLexErrorPrecedence pins that the whole input is lexed before
+// parsing: a bad byte anywhere wins over an earlier parse error.
+func TestLexErrorPrecedence(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"int f() { return 1 }\nint g;\n$", "line 3: unexpected character \"$\""},
+		{"int x = ;\n/* open", "line 2: unterminated comment"},
+		{"int f( {\nchar *s = \"abc\n\";", "line 2: newline in string literal"},
+	} {
+		_, err := Compile("t", c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Compile(%q) = %v, want %s", c.src, err, c.want)
+		}
+	}
+}
+
+// TestLexAllocatesFinalSize checks that the token slice is allocated once,
+// at exactly the number of tokens.
+func TestLexAllocatesFinalSize(t *testing.T) {
+	src := benchSource(4 << 10)
+	toks, err := lex(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cap(toks) != len(toks) || toks[len(toks)-1].kind != tEOF {
+		t.Fatalf("lex returned %d tokens in a slice of capacity %d", len(toks), cap(toks))
+	}
+	if allocs := testing.AllocsPerRun(5, func() { _, _ = lex(src) }); allocs != 1 {
+		t.Fatalf("lex made %v allocations, want 1", allocs)
+	}
+}
+
 func TestRoundTripThroughIRText(t *testing.T) {
 	m := compile(t, figure1C)
 	text := ir.Print(m)

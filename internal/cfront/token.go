@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 type tokKind uint8
@@ -39,21 +40,20 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
-var keywords = map[string]bool{
-	"void": true, "char": true, "short": true, "int": true, "long": true,
-	"float": true, "double": true, "unsigned": true, "signed": true,
-	"struct": true, "union": true, "enum": true,
-	"static": true, "extern": true, "const": true,
-	"if": true, "else": true, "while": true, "for": true, "do": true,
-	"switch": true, "case": true, "default": true,
-	"return": true, "break": true, "continue": true, "sizeof": true,
-	"typedef": true, "NULL": true,
-}
-
-// multi-character punctuation, longest first.
-var punct2 = []string{
-	"->", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-	"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
+// isKeyword reports whether word is a mini-C keyword.
+func isKeyword(word string) bool {
+	switch word {
+	case "void", "char", "short", "int", "long",
+		"float", "double", "unsigned", "signed",
+		"struct", "union", "enum",
+		"static", "extern", "const",
+		"if", "else", "while", "for", "do",
+		"switch", "case", "default",
+		"return", "break", "continue", "sizeof",
+		"typedef", "NULL":
+		return true
+	}
+	return false
 }
 
 type lexError struct {
@@ -63,11 +63,42 @@ type lexError struct {
 
 func (e *lexError) Error() string { return fmt.Sprintf("line %d: %s", e.line, e.msg) }
 
+// lex tokenizes src. The token slice is allocated once, at its final
+// size: a first scan counts the tokens and stops at the first lexical
+// error, a second fills the slice.
 func lex(src string) ([]token, error) {
-	var toks []token
-	line := 1
-	i := 0
-	n := len(src)
+	lx := lexer{src: src, line: 1}
+	n := 0
+	for {
+		t, err := lx.scan()
+		if err != nil {
+			return nil, err
+		}
+		n++
+		if t.kind == tEOF {
+			break
+		}
+	}
+	toks := make([]token, 0, n)
+	lx = lexer{src: src, line: 1}
+	for len(toks) < n {
+		t, _ := lx.scan()
+		toks = append(toks, t)
+	}
+	return toks, nil
+}
+
+// lexer scans mini-C source one token at a time.
+type lexer struct {
+	src  string
+	i    int
+	line int
+}
+
+// scan returns the next token, or tEOF at the end of the input.
+func (lx *lexer) scan() (token, error) {
+	src, n := lx.src, len(lx.src)
+	i, line := lx.i, lx.line
 	for i < n {
 		c := src[i]
 		switch {
@@ -89,7 +120,7 @@ func lex(src string) ([]token, error) {
 				i++
 			}
 			if i+1 >= n {
-				return nil, &lexError{line, "unterminated comment"}
+				return token{}, &lexError{line, "unterminated comment"}
 			}
 			i += 2
 		case c == '#':
@@ -103,7 +134,7 @@ func lex(src string) ([]token, error) {
 			var sb strings.Builder
 			for i < n && src[i] != '"' {
 				if src[i] == '\n' {
-					return nil, &lexError{line, "newline in string literal"}
+					return token{}, &lexError{line, "newline in string literal"}
 				}
 				if src[i] == '\\' && i+1 < n {
 					i++
@@ -114,14 +145,14 @@ func lex(src string) ([]token, error) {
 				i++
 			}
 			if i >= n {
-				return nil, &lexError{line, "unterminated string literal"}
+				return token{}, &lexError{line, "unterminated string literal"}
 			}
 			i++
-			toks = append(toks, token{tString, sb.String(), line})
+			return lx.stop(i, line, token{tString, sb.String(), line})
 		case c == '\'':
 			i++
 			if i >= n {
-				return nil, &lexError{line, "unterminated character literal"}
+				return token{}, &lexError{line, "unterminated character literal"}
 			}
 			var ch byte
 			if src[i] == '\\' && i+1 < n {
@@ -132,10 +163,10 @@ func lex(src string) ([]token, error) {
 			}
 			i++
 			if i >= n || src[i] != '\'' {
-				return nil, &lexError{line, "unterminated character literal"}
+				return token{}, &lexError{line, "unterminated character literal"}
 			}
 			i++
-			toks = append(toks, token{tChar, string(ch), line})
+			return lx.stop(i, line, token{tChar, string(ch), line})
 		case isDigit(c):
 			start := i
 			isFloat := false
@@ -182,7 +213,7 @@ func lex(src string) ([]token, error) {
 			if isFloat {
 				kind = tFloat
 			}
-			toks = append(toks, token{kind, src[start:numEnd], line})
+			return lx.stop(i, line, token{kind, src[start:numEnd], line})
 		case isIdentStart(c):
 			start := i
 			for i < n && isIdentPart(src[i]) {
@@ -190,33 +221,39 @@ func lex(src string) ([]token, error) {
 			}
 			word := src[start:i]
 			kind := tIdent
-			if keywords[word] {
+			if isKeyword(word) {
 				kind = tKeyword
 			}
-			toks = append(toks, token{kind, word, line})
+			return lx.stop(i, line, token{kind, word, line})
 		default:
-			matched := false
-			for _, p2 := range punct2 {
-				if strings.HasPrefix(src[i:], p2) {
-					toks = append(toks, token{tPunct, p2, line})
-					i += len(p2)
-					matched = true
-					break
-				}
+			if i+1 < n && isPunct2(src[i:i+2]) {
+				i += 2
+				return lx.stop(i, line, token{tPunct, src[i-2 : i], line})
 			}
-			if matched {
-				break
-			}
-			if strings.ContainsRune("+-*/%<>=!&|^~?:;,.(){}[]", rune(c)) {
-				toks = append(toks, token{tPunct, string(c), line})
+			if strings.IndexByte("+-*/%<>=!&|^~?:;,.(){}[]", c) >= 0 {
 				i++
-				break
+				return lx.stop(i, line, token{tPunct, src[i-1 : i], line})
 			}
-			return nil, &lexError{line, fmt.Sprintf("unexpected character %q", string(c))}
+			return token{}, &lexError{line, fmt.Sprintf("unexpected character %q", string(c))}
 		}
 	}
-	toks = append(toks, token{tEOF, "", line})
-	return toks, nil
+	return lx.stop(i, line, token{tEOF, "", line})
+}
+
+// stop records where scanning stopped (offset i, line) and returns t.
+func (lx *lexer) stop(i, line int, t token) (token, error) {
+	lx.i, lx.line = i, line
+	return t, nil
+}
+
+// isPunct2 reports whether s is a two-character punctuator.
+func isPunct2(s string) bool {
+	switch s {
+	case "->", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
+		"+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--":
+		return true
+	}
+	return false
 }
 
 func unescape(c byte) byte {
@@ -244,5 +281,10 @@ func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 func isHexDigit(c byte) bool {
 	return isDigit(c) || c >= 'a' && c <= 'f' || c >= 'A' && c <= 'F'
 }
-func isIdentStart(c byte) bool { return c == '_' || unicode.IsLetter(rune(c)) }
-func isIdentPart(c byte) bool  { return isIdentStart(c) || isDigit(c) }
+func isIdentStart(c byte) bool {
+	if c < utf8.RuneSelf {
+		return c == '_' || 'a' <= c|0x20 && c|0x20 <= 'z'
+	}
+	return unicode.IsLetter(rune(c))
+}
+func isIdentPart(c byte) bool { return isIdentStart(c) || isDigit(c) }

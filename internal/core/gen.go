@@ -46,12 +46,17 @@ type genState struct {
 // constraint-building rules of Sections II-A and III (escape seeding,
 // pointer-integer conversions, pointer smuggling) with the default library
 // summaries of Section V-B (malloc, free, memcpy).
-func Generate(m *ir.Module) *Gen { return GenerateWith(m, nil) }
+func Generate(m *ir.Module) *Gen { return GenerateWith(m, nil, nil) }
 
 // GenerateWith is Generate with additional handwritten summaries for
-// imported functions. Entries in extra override the defaults; mapping a
-// name to the zero Summary declares "no pointer-relevant behaviour".
-func GenerateWith(m *ir.Module, extra map[string]Summary) *Gen {
+// imported functions and, for the next generation of an incremental
+// lineage, the previous generation's problem. Entries in extra override
+// the defaults; mapping a name to the zero Summary declares "no
+// pointer-relevant behaviour". With prev set, a variable whose name is in
+// prev keeps its ID there, new names are appended, and prev's retired
+// names stay as dead variables (see renumber.go); if either problem's
+// names are not unique, the variables are numbered from scratch.
+func GenerateWith(m *ir.Module, extra map[string]Summary, prev *Problem) *Gen {
 	summaries := DefaultSummaries()
 	for name, s := range extra {
 		summaries[name] = s
@@ -76,6 +81,9 @@ func GenerateWith(m *ir.Module, extra map[string]Summary) *Gen {
 		}
 	}
 	res := g.Gen
+	if prev != nil {
+		res.stabilize(prev)
+	}
 	return &res
 }
 

@@ -3,19 +3,24 @@
 // on resubmission, diffs the new constraint set against the summary to
 // decide between three paths —
 //
-//  1. reuse: the delta is empty (e.g. a pure rename — names are not part
-//     of the summary), so the previous solution is returned as-is;
+//  1. reuse: the delta is empty (e.g. a resubmission of the same module,
+//     or a problem that only renames variables — names are not part of
+//     the summary), so the previous solution is returned as-is;
 //  2. resume: the delta only adds constraints and the configuration is
 //     checkpointable, so the solver resumes from the persisted
 //     propagation state and drains only the additions;
 //  3. fallback: deletions, retyped variables, or a non-resumable
 //     configuration invalidate the monotone state, so a from-scratch
-//     solve runs (and re-establishes the checkpoint for the next
-//     generation).
+//     solve runs on the compacted problem (core.Problem.Compact) and
+//     re-establishes the checkpoint for the next generation.
+//
+// The diff compares variables by ID, so resubmissions must keep each
+// variable's ID: the engine generates every version of a module against
+// the previous generation's problem (core.GenerateWith), which numbers
+// surviving names as before and appends new ones.
 //
 // States are immutable: Update returns a new State, so callers can keep
-// multiple generations alive (the engine's cache keys include the
-// generation for exactly this reason).
+// multiple generations alive.
 package incr
 
 import (
@@ -32,7 +37,8 @@ type State struct {
 	// Config is the solve configuration; every generation uses the same
 	// one (a config change is a different lineage).
 	Config core.Config
-	// Problem is the generation's constraint problem.
+	// Problem is the generation's constraint problem: the resubmitted
+	// one, or its compaction when the generation fell back.
 	Problem *core.Problem
 	// Summary is Problem's canonical diffable form.
 	Summary *core.ProblemSummary
@@ -64,6 +70,46 @@ type UpdateStats struct {
 	Removed         int `json:"removed"`
 	Reused          int `json:"reused"`
 	FullConstraints int `json:"full_constraints"`
+}
+
+// The fallback reasons Update and the engine report in
+// UpdateStats.FallbackReason. A resume the checkpoint refuses reports the
+// checkpoint's own error instead.
+const (
+	FallbackInitial      = "initial solve"
+	FallbackNotResumable = "config not resumable"
+	FallbackNoCheckpoint = "no checkpoint (previous solve degraded)"
+	FallbackRetyped      = "variables retyped"
+	FallbackRemovals     = "removals invalidate monotone state"
+	FallbackOmegaGrowth  = "variable universe grew under explicit-Ω"
+)
+
+// FallbackLabels is the closed set of metric labels FallbackLabel maps
+// fallback reasons to.
+var FallbackLabels = []string{
+	"initial", "retyped", "removals", "explicit_omega_growth",
+	"not_resumable", "no_checkpoint", "resume_refused",
+}
+
+// FallbackLabel maps a fallback reason to its label in FallbackLabels.
+// Any reason that is not one of the Fallback constants is a refused
+// resume, so the label set stays fixed whatever the checkpoint reports.
+func FallbackLabel(reason string) string {
+	switch reason {
+	case FallbackInitial:
+		return "initial"
+	case FallbackRetyped:
+		return "retyped"
+	case FallbackRemovals:
+		return "removals"
+	case FallbackOmegaGrowth:
+		return "explicit_omega_growth"
+	case FallbackNotResumable:
+		return "not_resumable"
+	case FallbackNoCheckpoint:
+		return "no_checkpoint"
+	}
+	return "resume_refused"
 }
 
 // Checkpointed reports whether the state carries resumable propagation
@@ -129,7 +175,13 @@ func (st *State) Update(p *core.Problem, tk obs.Track) (*State, *UpdateStats, er
 		// to the sound from-scratch path rather than failing the request.
 		stats.FallbackReason = err.Error()
 	}
-	sol, err := core.Solve(p, st.Config, opts)
+	// A from-scratch solve owes nothing to the old numbering, so it runs on
+	// the compacted problem and dead variables never outlive a fallback.
+	next.Problem = p.Compact()
+	if next.Problem != p {
+		next.Summary = core.BuildSummary(next.Problem)
+	}
+	sol, err := core.Solve(next.Problem, st.Config, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -143,15 +195,15 @@ func (st *State) resumeBlocked(d *core.SummaryDelta, p *core.Problem) string {
 	switch {
 	case st.ck == nil:
 		if !core.Resumable(st.Config) {
-			return "config not resumable"
+			return FallbackNotResumable
 		}
-		return "no checkpoint (previous solve degraded)"
+		return FallbackNoCheckpoint
 	case d.Retyped:
-		return "variables retyped"
+		return FallbackRetyped
 	case d.Removed() > 0 || p.NumVars() < st.Problem.NumVars():
-		return "removals invalidate monotone state"
+		return FallbackRemovals
 	case st.Config.Rep == core.EP && p.NumVars() > st.Problem.NumVars():
-		return "variable universe grew under explicit-Ω"
+		return FallbackOmegaGrowth
 	}
 	return ""
 }

@@ -205,3 +205,59 @@ func TestUpdateInvalidProblem(t *testing.T) {
 		t.Fatal("Update accepted an invalid problem")
 	}
 }
+
+// TestUpdateCompactsOnFallback resubmits a problem numbered against the
+// previous generation with one variable retired: the removal falls back,
+// and the fallback solves (and keeps) the compacted problem.
+func TestUpdateCompactsOnFallback(t *testing.T) {
+	cfg := core.Config{Rep: core.IP, Solver: core.Worklist}
+	st, err := New(buildProblem(), cfg, obs.Track{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := buildProblem()
+	retired.Flags[3] = 0 // n retires: no flags, no constraints
+	retired.Order = []core.VarID{0, 1, 2}
+	st1, stats, err := st.Update(retired, obs.Track{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.FallbackReason != FallbackRemovals {
+		t.Fatalf("retiring a flagged variable should fall back on removals, got %+v", stats)
+	}
+	p := st1.Problem
+	if p.NumVars() != 3 || p.Order != nil || st1.Sol.Problem() != p {
+		t.Fatalf("fallback kept %d vars (order %v); want the compacted 3 solved", p.NumVars(), p.Order)
+	}
+	if !st1.Summary.Equal(core.BuildSummary(p)) {
+		t.Fatal("summary does not describe the compacted problem")
+	}
+	if st1.Sol.Fingerprint() != core.MustSolve(retired.Compact(), cfg).Fingerprint() {
+		t.Fatal("fallback solution differs from a scratch solve of the compacted problem")
+	}
+}
+
+func TestFallbackLabel(t *testing.T) {
+	for reason, want := range map[string]string{
+		FallbackInitial:              "initial",
+		FallbackRetyped:              "retyped",
+		FallbackRemovals:             "removals",
+		FallbackOmegaGrowth:          "explicit_omega_growth",
+		FallbackNotResumable:         "not_resumable",
+		FallbackNoCheckpoint:         "no_checkpoint",
+		core.ErrNotResumable.Error(): "resume_refused",
+		"":                           "resume_refused",
+	} {
+		got := FallbackLabel(reason)
+		if got != want {
+			t.Errorf("FallbackLabel(%q) = %q, want %q", reason, got, want)
+		}
+		found := false
+		for _, l := range FallbackLabels {
+			found = found || l == got
+		}
+		if !found {
+			t.Errorf("label %q is not in FallbackLabels", got)
+		}
+	}
+}

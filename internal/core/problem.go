@@ -137,6 +137,14 @@ type Problem struct {
 	// Funcs and Calls model functions and call sites (Table I).
 	Funcs []FuncConstraint
 	Calls []CallConstraint
+
+	// Order lists the live variables in generation order. It is nil when
+	// every variable is live and IDs follow generation order, as in a
+	// problem generated from scratch. A problem generated against an
+	// earlier generation (GenerateWith with a previous problem) keeps
+	// that generation's IDs, so it lists the order here and leaves
+	// retired names out as dead variables (see renumber.go).
+	Order []VarID
 }
 
 // NewProblem returns an empty problem.
@@ -292,6 +300,11 @@ func (p *Problem) Validate() error {
 			}
 		}
 	}
+	for _, v := range p.Order {
+		if v >= n {
+			return fmt.Errorf("order references variable %d of %d", v, n)
+		}
+	}
 	return nil
 }
 
@@ -311,6 +324,7 @@ func (p *Problem) Clone() *Problem {
 		Store:     append([]Edge(nil), p.Store...),
 		Funcs:     make([]FuncConstraint, len(p.Funcs)),
 		Calls:     make([]CallConstraint, len(p.Calls)),
+		Order:     append([]VarID(nil), p.Order...),
 	}
 	for i, f := range p.Funcs {
 		f.Args = append([]VarID(nil), f.Args...)

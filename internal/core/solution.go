@@ -325,14 +325,38 @@ func (s *Solution) Fingerprint() string {
 }
 
 // Dump renders a human-readable points-to report with variable names.
+// Variables and pointees appear in generation order and dead variables
+// are left out, so a problem generated against an earlier generation
+// (Problem.Order) dumps exactly like the same module generated from
+// scratch.
 func (s *Solution) Dump() string {
 	var b strings.Builder
-	for v := VarID(0); v < VarID(s.p.NumVars()); v++ {
+	order, rank := s.p.liveOrder()
+	n := s.p.NumVars()
+	if order != nil {
+		n = len(order)
+	}
+	for i := 0; i < n; i++ {
+		v := VarID(i)
+		if order != nil {
+			v = order[i]
+		}
 		if !s.p.PtrCompat[v] {
 			continue
 		}
 		fmt.Fprintf(&b, "%s ->", s.p.Names[v])
-		for _, x := range s.PointsTo(v) {
+		pts := s.PointsTo(v)
+		if rank != nil {
+			// OmegaPointee sorts last, as it does by ID.
+			key := func(x VarID) int {
+				if x == OmegaPointee {
+					return len(rank)
+				}
+				return rank[x]
+			}
+			sort.Slice(pts, func(i, j int) bool { return key(pts[i]) < key(pts[j]) })
+		}
+		for _, x := range pts {
 			if x == OmegaPointee {
 				b.WriteString(" <external>")
 			} else {

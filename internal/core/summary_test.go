@@ -12,7 +12,7 @@ func genWith(t *testing.T, src string, sums map[string]Summary) (*Gen, *ir.Modul
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := GenerateWith(m, sums)
+	g := GenerateWith(m, sums, nil)
 	if err := g.Problem.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -98,7 +98,7 @@ func runSequential(j Job) (res Result) {
 	}
 	gen := j.Gen
 	if gen == nil {
-		gen = core.GenerateWith(j.Module, j.Summaries)
+		gen = core.GenerateWith(j.Module, j.Summaries, nil)
 	}
 	sol, err := core.Solve(gen.Problem, j.Config, core.SolveOptions{})
 	if err != nil {

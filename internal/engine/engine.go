@@ -736,7 +736,7 @@ func (e *Engine) attemptJob(j Job, tk obs.Track, ar *core.Arena) (res Result) {
 	if len(j.Demand) > 0 {
 		gen := j.Gen
 		if gen == nil {
-			gen = core.GenerateWith(j.Module, j.Summaries)
+			gen = core.GenerateWith(j.Module, j.Summaries, nil)
 		}
 		sol, err := e.solveGuarded(gen.Problem, j.Config, core.SolveOptions{Trace: tk, Arena: ar, Demand: j.Demand})
 		if err != nil {
@@ -773,7 +773,7 @@ func (e *Engine) attemptJob(j Job, tk obs.Track, ar *core.Arena) (res Result) {
 	}
 	gen := j.Gen
 	if gen == nil {
-		gen = core.GenerateWith(j.Module, j.Summaries)
+		gen = core.GenerateWith(j.Module, j.Summaries, nil)
 	}
 	// Second tier: on a memory miss the leader consults the persistent
 	// store before solving. Store.Load re-verifies the CRC and fingerprint
@@ -866,11 +866,11 @@ func (e *Engine) attemptJob(j Job, tk obs.Track, ar *core.Arena) (res Result) {
 // internal/core/incr). A lineage's configuration is fixed at generation 0
 // (with the engine's default budget folded in); later generations inherit
 // it and the job's own Config is ignored — a configuration change is a
-// different lineage. Non-degraded results are
-// stored into the solution cache under a generation-suffixed key so
-// incremental generations never collide with each other or with ordinary
-// exhaustive entries; the incremental path never serves from the cache
-// (the summary diff is its fast path).
+// different lineage. When the job carries no Gen, the module is generated
+// against the previous generation's problem, so surviving variables keep
+// their IDs and an appended function resumes instead of falling back.
+// The incremental path neither reads nor writes the solution cache; the
+// summary diff is its fast path.
 func (e *Engine) RunIncremental(st *incr.State, j Job) (Result, *incr.State) {
 	var wtk obs.Track
 	if e.opts.Trace != nil {
@@ -901,7 +901,13 @@ func (e *Engine) attemptIncremental(st *incr.State, j Job, tk obs.Track) (res Re
 	}
 	gen := j.Gen
 	if gen == nil {
-		gen = core.GenerateWith(j.Module, j.Summaries)
+		// Number against the previous generation, so a variable keeps its
+		// ID across edits and an appended function diffs as an addition.
+		var prev *core.Problem
+		if st != nil {
+			prev = st.Problem
+		}
+		gen = core.GenerateWith(j.Module, j.Summaries, prev)
 	}
 	var stats *incr.UpdateStats
 	var err error
@@ -916,7 +922,7 @@ func (e *Engine) attemptIncremental(st *incr.State, j Job, tk obs.Track) (res Re
 			return Result{Err: err}, st
 		}
 		stats = &incr.UpdateStats{
-			FallbackReason:  "initial solve",
+			FallbackReason:  incr.FallbackInitial,
 			Added:           nst.Summary.NumConstraints(),
 			FullConstraints: nst.Summary.NumConstraints(),
 		}
@@ -926,11 +932,16 @@ func (e *Engine) attemptIncremental(st *incr.State, j Job, tk obs.Track) (res Re
 			return Result{Err: err}, st
 		}
 	}
-	sol := nst.Sol
-	if e.cache != nil && j.Module != nil && !sol.Degraded {
-		key := fmt.Sprintf("%s|inc-g%d", CacheKey(ModuleHash(j.Module), nst.Config), nst.Generation)
-		e.store(key, cached{gen: gen, sol: sol})
+	if nst.Problem != gen.Problem {
+		// The update fell back and solved the compacted problem; answer
+		// through the same numbering. A caller-supplied Gen is copied
+		// first, because compacting rewrites its maps.
+		if j.Gen != nil {
+			gen = gen.Clone()
+		}
+		gen.UseCompacted(nst.Problem)
 	}
+	sol := nst.Sol
 	dur := sol.Stats.Duration
 	if stats.ReusedSolution {
 		// Nothing was solved; the reused solution's duration belongs to the

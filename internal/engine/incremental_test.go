@@ -5,6 +5,8 @@ import (
 
 	"github.com/pip-analysis/pip/internal/core"
 	"github.com/pip-analysis/pip/internal/core/differential"
+	"github.com/pip-analysis/pip/internal/core/incr"
+	"github.com/pip-analysis/pip/internal/ir"
 )
 
 // resumableCfg is a configuration on the checkpointable trajectory
@@ -82,30 +84,37 @@ func TestRunIncrementalPaths(t *testing.T) {
 	}
 }
 
-func TestRunIncrementalCachesGenerations(t *testing.T) {
+// TestRunIncrementalLeavesCacheAlone pins the incremental path's cache
+// contract: it neither writes the solution cache nor, through eviction or
+// drain, the attached store, and it leaves exhaustive jobs of the same
+// module to miss and then hit as usual.
+func TestRunIncrementalLeavesCacheAlone(t *testing.T) {
 	cfg := resumableCfg()
-	mods := testModules(1)
-	eng := New(Options{Workers: 1, Cache: true})
+	mods := testModules(2)
+	eng := engineWithStore(t, t.TempDir(), 1)
 
-	res, st := eng.RunIncremental(nil, Job{Module: mods[0], Config: cfg})
-	if res.Err != nil {
-		t.Fatal(res.Err)
+	var st *incr.State
+	for gen, m := range []*ir.Module{mods[0], mods[0], mods[1]} {
+		var res Result
+		res, st = eng.RunIncremental(st, Job{Module: m, Config: cfg})
+		if res.Err != nil {
+			t.Fatalf("generation %d: %v", gen, res.Err)
+		}
 	}
-	// Identical module resubmitted: the summary delta is empty.
-	res1, _ := eng.RunIncremental(st, Job{Module: mods[0], Config: cfg})
-	if res1.Err != nil {
-		t.Fatal(res1.Err)
+	if err := eng.SyncStore(); err != nil {
+		t.Fatal(err)
 	}
-	if !res1.Incremental.ReusedSolution {
-		t.Fatalf("identical module should reuse: %+v", res1.Incremental)
+	if stats := eng.Stats(); stats.CacheEntries != 0 {
+		t.Fatalf("incremental generations left %d cache entries, want 0", stats.CacheEntries)
 	}
-	// Each generation stored under its own generation-suffixed key, so the
-	// two never collide with each other or with a plain exhaustive entry.
-	if stats := eng.Stats(); stats.CacheEntries != 2 {
-		t.Fatalf("expected 2 generation-keyed cache entries, got %d", stats.CacheEntries)
+	if saves := eng.DiskStore().Stats().Saves; saves != 0 {
+		t.Fatalf("incremental generations reached the store: %d saves, want 0", saves)
 	}
-	if plain := eng.RunOne(Job{Module: mods[0], Config: cfg}); plain.CacheHit {
-		t.Fatal("exhaustive job must not be served an incremental entry")
+	if plain := eng.RunOne(Job{Module: mods[1], Config: cfg}); plain.Err != nil || plain.CacheHit {
+		t.Fatalf("first exhaustive job: err %v, cache hit %v; want a miss", plain.Err, plain.CacheHit)
+	}
+	if plain := eng.RunOne(Job{Module: mods[1], Config: cfg}); plain.Err != nil || !plain.CacheHit || plain.DiskHit {
+		t.Fatalf("second exhaustive job: err %v, cache hit %v, disk hit %v; want a memory hit", plain.Err, plain.CacheHit, plain.DiskHit)
 	}
 }
 

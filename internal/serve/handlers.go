@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/pip-analysis/pip"
+	"github.com/pip-analysis/pip/internal/core/incr"
 	"github.com/pip-analysis/pip/internal/faults"
 	"github.com/pip-analysis/pip/internal/obs"
 )
@@ -473,6 +474,7 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 			s.incrResumed.Add(1)
 		default:
 			s.incrFallback.Add(1)
+			s.incrFallbackBy[incr.FallbackLabel(inc.FallbackReason)].Add(1)
 		}
 		s.incrReusedC.Observe(float64(inc.Reused))
 	}
@@ -585,6 +587,13 @@ func (s *Server) writeProm(w io.Writer) {
 			"reused":   float64(s.incrReused.Load()),
 			"fallback": float64(s.incrFallback.Load()),
 		})
+	fallbacks := make(map[string]float64, len(s.incrFallbackBy))
+	for label, n := range s.incrFallbackBy {
+		fallbacks[label] = float64(n.Load())
+	}
+	p.CounterVec("pip_incremental_fallbacks_total",
+		"Incremental /v1/resolve requests that solved from scratch, by reason: the session's initial solve, retyped variables, removed constraints, a grown universe under explicit-omega, a non-resumable configuration, no checkpoint, or a resume the checkpoint refused.",
+		"reason", fallbacks)
 	p.Histogram("pip_incremental_reused_constraints",
 		"Constraints carried over from the previous generation per incremental request.",
 		s.incrReusedC)

@@ -6,6 +6,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"github.com/pip-analysis/pip/internal/core/incr"
+	"github.com/pip-analysis/pip/internal/obs"
 )
 
 // resolveSrcEdit appends one function to solveSrc — a monotone edit from
@@ -100,6 +103,70 @@ func TestResolveEndpoint(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestResolveFallbackReasons walks a lineage through an initial solve, an
+// appended function (resumed), the same source again (reused) and the
+// function's deletion (a removal), and checks that
+// pip_incremental_fallbacks_total counts each fallback under its reason
+// with every label of the closed set exported, and that no resolve leaves
+// an entry in the solution cache.
+func TestResolveFallbackReasons(t *testing.T) {
+	s := New(Options{})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	handle := ""
+	for i, step := range []struct {
+		src  string
+		path string
+	}{
+		{solveSrc, "fallback"},
+		{resolveSrcEdit, "resumed"},
+		{resolveSrcEdit, "reused"},
+		{solveSrc, "fallback"},
+	} {
+		var r resolveResponse
+		if code := postJSON(t, ts, "/v1/resolve?config=IP%2BWL(FIFO)", resolveRequest{
+			moduleRequest: moduleRequest{Name: "t.c", C: step.src},
+			Handle:        handle,
+		}, &r); code != http.StatusOK {
+			t.Fatalf("resolve %d returned %d", i, code)
+		}
+		handle = r.Handle
+		inc := r.Incremental
+		path := "fallback"
+		switch {
+		case inc.Resumed:
+			path = "resumed"
+		case inc.ReusedSolution:
+			path = "reused"
+		}
+		if path != step.path {
+			t.Fatalf("resolve %d took %s (%+v), want %s", i, path, inc, step.path)
+		}
+	}
+
+	metric := scrapeMetrics(t, ts)
+	want := map[string]float64{"initial": 1, "removals": 1}
+	for _, label := range incr.FallbackLabels {
+		series := `pip_incremental_fallbacks_total{reason="` + label + `"}`
+		if got := metric(series); got != want[label] {
+			t.Errorf("%s = %v, want %v", series, got, want[label])
+		}
+	}
+	if got := metric("pip_cache_entries"); got != 0 {
+		t.Errorf("pip_cache_entries = %v after resolves only, want 0", got)
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err := obs.CheckExposition(string(body)); err != nil {
+		t.Fatal(err)
 	}
 }
 

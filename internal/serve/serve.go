@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"github.com/pip-analysis/pip"
+	"github.com/pip-analysis/pip/internal/core/incr"
 	"github.com/pip-analysis/pip/internal/faults"
 	"github.com/pip-analysis/pip/internal/obs"
 )
@@ -192,6 +193,9 @@ type Server struct {
 	incrReusedC  *obs.Histogram // reused constraints per incremental request
 	demandReqs   atomic.Int64
 
+	// incrFallbackBy counts fallbacks per incr.FallbackLabels entry.
+	incrFallbackBy map[string]*atomic.Int64
+
 	// breaker sheds load when the failure/degradation rate over recent
 	// requests says the server is in distress; breakerRejected counts the
 	// requests it turned away (they were never admitted).
@@ -245,6 +249,10 @@ func New(opts Options) *Server {
 		breaker:      newBreaker(opts.Breaker),
 		faultCounts:  map[[2]string]int64{},
 		traces:       newTraceIndex(DefaultTraceIndexSize, DefaultTraceRecords),
+	}
+	s.incrFallbackBy = make(map[string]*atomic.Int64, len(incr.FallbackLabels))
+	for _, label := range incr.FallbackLabels {
+		s.incrFallbackBy[label] = new(atomic.Int64)
 	}
 	// The flight recorder and the engine's anomaly hook reference each
 	// other through s, so both are wired after the struct exists and

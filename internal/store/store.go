@@ -1,10 +1,10 @@
 // Package store is the persistent on-disk solution store: the second
 // cache tier under the engine's in-memory LRU. Entries are keyed by the
 // engine's content-hash cache keys (sha256 of the printed module + the
-// rendered configuration, including the |inc-g<gen> incremental key
-// convention), so a restarted process rebuilds exactly the keys it would
-// compute fresh and every hit is, by construction, for byte-identical
-// input.
+// rendered configuration), so a restarted process rebuilds exactly the
+// keys it would compute fresh and every hit is, by construction, for
+// byte-identical input. Incremental session generations never reach the
+// cache, so they never reach the store either.
 //
 // The layout is a single append-only log (solutions.log): a file header
 // followed by records of

@@ -154,7 +154,7 @@ func AnalyzeTraced(m *Module, cfg Config, lane TraceLane) (*Result, error) {
 }
 
 func analyzeTraced(m *Module, cfg Config, summaries map[string]Summary, lane obs.Track) (*Result, error) {
-	gen := core.GenerateWith(m, summaries)
+	gen := core.GenerateWith(m, summaries, nil)
 	sol, err := core.Solve(gen.Problem, cfg, core.SolveOptions{Trace: lane})
 	if err != nil {
 		return nil, err
@@ -417,10 +417,12 @@ func (e *Engine) AnalyzeDemand(m *Module, cfg Config, summaries map[string]Summa
 // analyzed through a Session persists its constraint summary and (when the
 // configuration permits) the solver's propagation state, so re-analyzing
 // an edited version diffs the constraint sets and reuses, resumes, or
-// falls back as the edit allows. The configuration is fixed when the
-// session is created — analyzing under a different configuration is a
-// different lineage. A Session is safe for concurrent use; updates are
-// serialized.
+// falls back as the edit allows. Each version is numbered against the
+// previous one, so an appended function is a pure addition the solver
+// resumes, and a result answers exactly like a from-scratch analysis of
+// the same version. The configuration is fixed when the session is
+// created — analyzing under a different configuration is a different
+// lineage. A Session is safe for concurrent use; updates are serialized.
 type Session struct {
 	eng *engine.Engine
 	cfg Config
@@ -603,7 +605,7 @@ func (r *Result) varForName(name string) (core.VarID, error) {
 // constraint generation but no solve; pass the returned Gen to the engine
 // job (or AnalyzeDemand does both).
 func DemandRoots(m *Module, summaries map[string]Summary, names []string) (*core.Gen, []core.VarID, error) {
-	gen := core.GenerateWith(m, summaries)
+	gen := core.GenerateWith(m, summaries, nil)
 	roots := make([]core.VarID, 0, len(names))
 	for _, name := range names {
 		id, err := varForName(m, gen, name)
