@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: build test test-race fmt-check bench-smoke bench-snapshot store-snapshot serve-smoke router-smoke chaos router-chaos membership-chaos differential incremental-differential fuzz staticcheck bench clean
+.PHONY: build test test-race fmt-check bench-smoke bench-micro bench-snapshot store-snapshot serve-smoke router-smoke chaos router-chaos membership-chaos differential incremental-differential fuzz staticcheck bench clean
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,12 @@ fmt-check:
 
 bench-smoke:
 	$(GO) run ./cmd/pipbench -scale 0.04 -sizescale 0.12 -reps 1 -run smoke
+
+# One iteration of every micro-benchmark of the request path's layers
+# (MIR parse, print and hash; C compile), so they keep compiling and
+# running. For timings, raise -benchtime.
+bench-micro:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/ir ./internal/engine ./internal/cfront
 
 # Machine-readable solver-effort snapshot (per-configuration solve wall,
 # rule firings, worklist peak); CI archives the same shape as

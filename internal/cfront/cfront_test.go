@@ -430,6 +430,30 @@ func TestRoundTripThroughIRText(t *testing.T) {
 	}
 }
 
+// TestFloatConstantRoundTrip pins that float constants print in a form
+// that parses back: with a positive exponent ("1e+06:f64", fmt's %g
+// spelling), and integral ("2:f64", no point and no exponent).
+func TestFloatConstantRoundTrip(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"double g = 1e300;", "1e+300:f64"},
+		{"double f() { double d = 1000000.0; return d; }", "1e+06:f64"},
+		{"double g = 2.0;", "2:f64"},
+		{"float f() { return 1.0; }", "1:f64"},
+	} {
+		text := ir.Print(compile(t, c.src))
+		if !strings.Contains(text, c.want) {
+			t.Fatalf("%q: printed text lacks %s:\n%s", c.src, c.want, text)
+		}
+		m2, err := ir.Parse(text)
+		if err != nil {
+			t.Fatalf("%q: reparse: %v\n%s", c.src, err, text)
+		}
+		if ir.Print(m2) != text {
+			t.Fatalf("%q: module does not round-trip through MIR text", c.src)
+		}
+	}
+}
+
 func TestNestedDeclarators(t *testing.T) {
 	src := `
 int (*handlers[4])(int);

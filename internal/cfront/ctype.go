@@ -145,8 +145,37 @@ func isPointerLike(t CType) bool {
 	return false
 }
 
-// sameType is a loose structural comparison.
-func sameType(a, b CType) bool { return a.String() == b.String() }
+// sameType is a loose structural comparison: it reports whether a and b
+// spell the same, without building the spellings. Structs compare by tag
+// name, so two definitions under one tag are the same type.
+func sameType(a, b CType) bool {
+	switch a := a.(type) {
+	case *Prim:
+		b, ok := b.(*Prim)
+		return ok && a.String() == b.String()
+	case *Ptr:
+		b, ok := b.(*Ptr)
+		return ok && sameType(a.Elem, b.Elem)
+	case *Arr:
+		b, ok := b.(*Arr)
+		return ok && a.Len == b.Len && sameType(a.Elem, b.Elem)
+	case *StructRef:
+		b, ok := b.(*StructRef)
+		return ok && a.Name == b.Name
+	case *FuncCT:
+		b, ok := b.(*FuncCT)
+		if !ok || a.Variadic != b.Variadic || len(a.Params) != len(b.Params) || !sameType(a.Ret, b.Ret) {
+			return false
+		}
+		for i := range a.Params {
+			if !sameType(a.Params[i], b.Params[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	return a.String() == b.String()
+}
 
 // irTypeOf lowers a C type to MIR. Struct types are registered in the
 // module on first use.

@@ -2,6 +2,7 @@ package cfront
 
 import (
 	"fmt"
+	"strconv"
 
 	"github.com/pip-analysis/pip/internal/ir"
 )
@@ -91,7 +92,7 @@ func (lw *lowerer) namedAlloca(name string, t ir.Type) *ir.Instr {
 		candidate += ".v"
 	}
 	for i := 2; lw.usedNames[candidate]; i++ {
-		candidate = fmt.Sprintf("%s.%d", name, i)
+		candidate = name + "." + strconv.Itoa(i)
 	}
 	lw.usedNames[candidate] = true
 	slot.IName = candidate
@@ -130,7 +131,7 @@ func (lw *lowerer) define(name string, s *symbol) {
 // freshBlock creates a uniquely named block.
 func (lw *lowerer) freshBlock(hint string) *ir.Block {
 	lw.blkSeq++
-	return lw.b.NewBlock(fmt.Sprintf("%s.%d", hint, lw.blkSeq))
+	return lw.b.NewBlock(hint + "." + strconv.Itoa(lw.blkSeq))
 }
 
 // setBlock moves the insertion point and resets termination tracking.
@@ -194,7 +195,7 @@ func (lw *lowerer) lowerFile(f *File) {
 		if fd.Body == nil {
 			fn = &ir.Function{FName: fd.Name, Sig: sig, Linkage: ir.Declared}
 			for i, pt := range sig.Params {
-				fn.Params = append(fn.Params, &ir.Param{PName: fmt.Sprintf("p%d", i), T: pt, Index: i, Parent: fn})
+				fn.Params = append(fn.Params, &ir.Param{PName: "p" + strconv.Itoa(i), T: pt, Index: i, Parent: fn})
 			}
 		} else {
 			linkage := ir.Exported
@@ -203,7 +204,7 @@ func (lw *lowerer) lowerFile(f *File) {
 			}
 			fn = &ir.Function{FName: fd.Name, Sig: sig, Linkage: linkage}
 			for i, pt := range sig.Params {
-				pn := fmt.Sprintf("p%d", i)
+				pn := "p" + strconv.Itoa(i)
 				if i < len(fd.Params) && fd.Params[i] != "" {
 					pn = fd.Params[i]
 				}
@@ -308,7 +309,7 @@ func isArr(t CType) bool {
 func (lw *lowerer) stringGlobal(s string) *ir.Global {
 	lw.strSeq++
 	g := &ir.Global{
-		GName:   fmt.Sprintf("str.%d", lw.strSeq),
+		GName:   "str." + strconv.Itoa(lw.strSeq),
 		Elem:    &ir.ArrayType{Elem: ir.I8, Len: len(s) + 1},
 		Linkage: ir.Internal,
 	}
@@ -384,7 +385,7 @@ func (lw *lowerer) ensureLive() {
 func (lw *lowerer) lowerStaticLocal(vd *VarDecl) {
 	name := lw.b.F.FName + "." + vd.Name
 	for i := 2; lw.mod.Global(name) != nil; i++ {
-		name = fmt.Sprintf("%s.%s.%d", lw.b.F.FName, vd.Name, i)
+		name = lw.b.F.FName + "." + vd.Name + "." + strconv.Itoa(i)
 	}
 	linkage := ir.Internal
 	if vd.Storage == ExternStorage {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"fmt"
+	"strconv"
 
 	"github.com/pip-analysis/pip/internal/ir"
 )
@@ -181,7 +181,7 @@ func (g *genState) declareSummaryConstraint(f *ir.Function, fv VarID, sum Summar
 	}
 	argVar := func(i int) VarID {
 		if args[i] == NoVar {
-			args[i] = p.AddVar(fmt.Sprintf("@%s.$arg%d", f.FName, i), Register, true)
+			args[i] = p.AddVar("@"+f.FName+".$arg"+strconv.Itoa(i), Register, true)
 		}
 		return args[i]
 	}
@@ -199,7 +199,7 @@ func (g *genState) declareSummaryConstraint(f *ir.Function, fv VarID, sum Summar
 		p.AddSimple(ret, argVar(i))
 	}
 	for _, c := range sum.Copies {
-		tmp := p.AddVar(fmt.Sprintf("@%s.$cpy%d_%d", f.FName, c[0], c[1]), Register, true)
+		tmp := p.AddVar("@"+f.FName+".$cpy"+strconv.Itoa(c[0])+"_"+strconv.Itoa(c[1]), Register, true)
 		p.AddLoad(tmp, argVar(c[1]))
 		p.AddStore(argVar(c[0]), tmp)
 	}
@@ -262,7 +262,7 @@ func (g *genState) genFunction(f *ir.Function) {
 			if !in.Op.HasResult() || !ir.PointerCompatible(in.Type()) {
 				continue
 			}
-			name := fmt.Sprintf("@%s.%%%s", f.FName, in.IName)
+			name := "@" + f.FName + ".%" + in.IName
 			g.VarOf[in] = p.AddVar(name, Register, true)
 		}
 	}
@@ -278,7 +278,7 @@ func (g *genState) genInstr(f *ir.Function, in *ir.Instr) {
 	res, hasRes := g.VarOf[in]
 	switch in.Op {
 	case ir.OpAlloca:
-		mem := p.AddVar(fmt.Sprintf("@%s.%%%s.mem", f.FName, in.IName), Memory,
+		mem := p.AddVar("@"+f.FName+".%"+in.IName+".mem", Memory,
 			ir.PointerCompatible(in.Ty))
 		g.MemOf[in] = mem
 		p.AddBase(res, mem)
@@ -384,7 +384,7 @@ func (g *genState) genInstr(f *ir.Function, in *ir.Instr) {
 			return
 		}
 		g.tmpCounter++
-		tmp := p.AddVar(fmt.Sprintf("@%s.$cpy%d", f.FName, g.tmpCounter), Register, true)
+		tmp := p.AddVar("@"+f.FName+".$cpy"+strconv.Itoa(g.tmpCounter), Register, true)
 		p.AddLoad(tmp, src)
 		p.AddStore(dst, tmp)
 
@@ -455,7 +455,7 @@ func (g *genState) genSummaryCall(f *ir.Function, in *ir.Instr, res VarID, hasRe
 	}
 	if hasRes {
 		if sum.RetFreshHeap {
-			site := p.AddVar(fmt.Sprintf("heap.@%s.%%%s", f.FName, in.IName), Memory, true)
+			site := p.AddVar("heap.@"+f.FName+".%"+in.IName, Memory, true)
 			g.MemOf[in] = site
 			p.AddBase(res, site)
 		}
@@ -473,7 +473,7 @@ func (g *genState) genSummaryCall(f *ir.Function, in *ir.Instr, res VarID, hasRe
 		src, srcOK := actual(c[1])
 		if dstOK && srcOK {
 			g.tmpCounter++
-			tmp := p.AddVar(fmt.Sprintf("@%s.$cpy%d", f.FName, g.tmpCounter), Register, true)
+			tmp := p.AddVar("@"+f.FName+".$cpy"+strconv.Itoa(g.tmpCounter), Register, true)
 			p.AddLoad(tmp, src)
 			p.AddStore(dst, tmp)
 		}

@@ -19,7 +19,6 @@
 package engine
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -409,13 +408,11 @@ func (e *Engine) Stats() Stats {
 
 // ModuleHash returns the content hash of a module (the SHA-256 of its
 // printed MIR form), the basis of the engine's cache keys and the
-// persistent store's keys. The printed text is streamed into the hash,
-// never built as a string.
+// persistent store's keys. The printed text is streamed into the hash
+// in chunks, never built as a string.
 func ModuleHash(m *ir.Module) string {
 	h := sha256.New()
-	w := bufio.NewWriter(h)
-	ir.PrintTo(w, m)
-	w.Flush() // a hash never fails a write
+	ir.PrintTo(h, m) // a hash never fails a write
 	var sum [sha256.Size]byte
 	return hex.EncodeToString(h.Sum(sum[:0]))
 }

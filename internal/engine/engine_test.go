@@ -240,3 +240,24 @@ func TestModuleHashDistinguishesContent(t *testing.T) {
 		t.Fatal("cache keys collide")
 	}
 }
+
+// TestModuleHashAllocsPerModule pins that hashing allocates per module,
+// not per instruction: with every function body doubled, ModuleHash
+// allocates no more than for the original module.
+func TestModuleHashAllocsPerModule(t *testing.T) {
+	m := testModules(1)[0]
+	base := testing.AllocsPerRun(10, func() { ModuleHash(m) })
+	instrs := 0
+	for _, f := range m.Funcs {
+		for _, b := range f.Blocks {
+			b.Instrs = append(b.Instrs, b.Instrs...)
+			instrs += len(b.Instrs)
+		}
+	}
+	if instrs == 0 {
+		t.Fatal("test module has no instructions")
+	}
+	if doubled := testing.AllocsPerRun(10, func() { ModuleHash(m) }); doubled > base {
+		t.Fatalf("ModuleHash allocates %v times with bodies doubled (%d instructions), %v without", doubled, instrs, base)
+	}
+}

@@ -28,3 +28,16 @@ func BenchmarkParse(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPrint prints every pool module to a string; one op is one
+// pass over the pool.
+func BenchmarkPrint(b *testing.B) {
+	files := workload.GenerateCorpus(servePool)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, f := range files {
+			ir.Print(f.Module)
+		}
+	}
+}

@@ -1,6 +1,6 @@
 package ir
 
-import "fmt"
+import "strconv"
 
 // Builder constructs MIR functions programmatically. It is used by the
 // mini-C frontend's lowering pass and by the synthetic workload generator.
@@ -17,14 +17,14 @@ func NewBuilder(m *Module) *Builder { return &Builder{M: m} }
 // fresh returns a fresh SSA name.
 func (b *Builder) fresh() string {
 	b.next++
-	return fmt.Sprintf("t%d", b.next)
+	return "t" + strconv.Itoa(b.next)
 }
 
 // NewFunc starts a new function and its entry block, making both current.
 func (b *Builder) NewFunc(name string, sig *FuncType, paramNames []string, linkage Linkage) *Function {
 	f := &Function{FName: name, Sig: sig, Linkage: linkage}
 	for i, pt := range sig.Params {
-		pn := fmt.Sprintf("p%d", i)
+		pn := "p" + strconv.Itoa(i)
 		if i < len(paramNames) && paramNames[i] != "" {
 			pn = paramNames[i]
 		}
@@ -42,7 +42,7 @@ func (b *Builder) NewFunc(name string, sig *FuncType, paramNames []string, linka
 func (b *Builder) DeclareFunc(name string, sig *FuncType) *Function {
 	f := &Function{FName: name, Sig: sig, Linkage: Declared}
 	for i, pt := range sig.Params {
-		f.Params = append(f.Params, &Param{PName: fmt.Sprintf("p%d", i), T: pt, Index: i, Parent: f})
+		f.Params = append(f.Params, &Param{PName: "p" + strconv.Itoa(i), T: pt, Index: i, Parent: f})
 	}
 	if err := b.M.AddFunc(f); err != nil {
 		panic(err)

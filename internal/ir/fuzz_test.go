@@ -26,7 +26,8 @@ var parseSeeds = []string{
 // FuzzParse checks that the MIR parser never panics, that the pull
 // scanner agrees with the whole-input reference lexer (same tokens, and
 // for rejected input the same error from Parse), and that anything the
-// parser accepts verifies, prints, and round-trips.
+// parser accepts verifies, prints the reference printer's text, and
+// round-trips.
 func FuzzParse(f *testing.F) {
 	for _, s := range parseSeeds {
 		f.Add(s)
@@ -37,8 +38,12 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Accepted input must print and reparse to the same text.
+		// Accepted input must print the reference printer's text, and
+		// reparse to the same text.
 		text := Print(m)
+		if want := printReference(m); text != want {
+			t.Fatalf("Print differs from the reference printer:\n%s\nwant:\n%s", text, want)
+		}
 		m2, err := Parse(text)
 		if err != nil {
 			t.Fatalf("printed module does not reparse: %v\n%s", err, text)

@@ -1,10 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"io"
-	"strings"
-)
+import "fmt"
 
 // Op enumerates MIR instruction opcodes.
 type Op uint8
@@ -116,74 +112,77 @@ func (in *Instr) Callee() Value { return in.Args[0] }
 func (in *Instr) CallArgs() []Value { return in.Args[1:] }
 
 // String renders the instruction in MIR textual syntax.
-func (in *Instr) String() string {
-	var b strings.Builder
-	in.print(&b)
-	return b.String()
-}
+func (in *Instr) String() string { return string(in.appendTo(nil)) }
 
-// print writes the instruction in MIR textual syntax to w.
-func (in *Instr) print(w io.Writer) {
+// appendTo appends the instruction in MIR textual syntax to b.
+func (in *Instr) appendTo(b []byte) []byte {
 	if in.Op.HasResult() {
-		fmt.Fprintf(w, "%%%s = ", in.IName)
+		b = append(append(append(b, '%'), in.IName...), " = "...)
 	}
 	switch in.Op {
 	case OpAlloca:
-		fmt.Fprintf(w, "alloca %s", in.Ty)
+		b = appendType(append(b, "alloca "...), in.Ty)
 	case OpLoad:
-		fmt.Fprintf(w, "load %s, %s", in.Ty, in.Args[0].Ident())
+		b = appendOperands(appendType(append(b, "load "...), in.Ty), in.Args[0])
 	case OpStore:
-		fmt.Fprintf(w, "store %s, %s", in.Args[0].Ident(), in.Args[1].Ident())
+		b = appendOperands(appendIdent(append(b, "store "...), in.Args[0]), in.Args[1])
 	case OpGEP:
-		fmt.Fprintf(w, "gep %s, %s", in.Ty, in.Args[0].Ident())
-		for _, a := range in.Args[1:] {
-			fmt.Fprintf(w, ", %s", a.Ident())
-		}
+		b = appendOperands(appendType(append(b, "gep "...), in.Ty), in.Args...)
 	case OpMemcpy:
-		fmt.Fprintf(w, "memcpy %s, %s, %s",
-			in.Args[0].Ident(), in.Args[1].Ident(), in.Args[2].Ident())
+		b = appendOperands(appendIdent(append(b, "memcpy "...), in.Args[0]), in.Args[1], in.Args[2])
 	case OpBitcast:
-		fmt.Fprintf(w, "bitcast %s, %s", in.T, in.Args[0].Ident())
+		b = appendOperands(appendType(append(b, "bitcast "...), in.T), in.Args[0])
 	case OpPtrToInt:
-		fmt.Fprintf(w, "ptrtoint %s", in.Args[0].Ident())
+		b = appendIdent(append(b, "ptrtoint "...), in.Args[0])
 	case OpIntToPtr:
-		fmt.Fprintf(w, "inttoptr %s", in.Args[0].Ident())
+		b = appendIdent(append(b, "inttoptr "...), in.Args[0])
 	case OpPhi:
-		fmt.Fprintf(w, "phi %s", in.T)
+		b = appendType(append(b, "phi "...), in.T)
 		for i, a := range in.Args {
-			fmt.Fprintf(w, ", [%s, %s]", a.Ident(), in.Blocks[i].BName)
+			b = appendIdent(append(b, ", ["...), a)
+			b = append(append(append(b, ", "...), in.Blocks[i].BName...), ']')
 		}
 	case OpSelect:
-		fmt.Fprintf(w, "select %s, %s, %s",
-			in.Args[0].Ident(), in.Args[1].Ident(), in.Args[2].Ident())
+		b = appendOperands(appendIdent(append(b, "select "...), in.Args[0]), in.Args[1], in.Args[2])
 	case OpCall:
-		fmt.Fprintf(w, "call %s, %s(", in.Type(), in.Args[0].Ident())
+		b = appendType(append(b, "call "...), in.Type())
+		b = append(appendIdent(append(b, ", "...), in.Args[0]), '(')
 		for i, a := range in.Args[1:] {
 			if i > 0 {
-				io.WriteString(w, ", ")
+				b = append(b, ", "...)
 			}
-			io.WriteString(w, a.Ident())
+			b = appendIdent(b, a)
 		}
-		io.WriteString(w, ")")
+		b = append(b, ')')
 	case OpRet:
-		io.WriteString(w, "ret")
+		b = append(b, "ret"...)
 		if len(in.Args) > 0 {
-			fmt.Fprintf(w, " %s", in.Args[0].Ident())
+			b = appendIdent(append(b, ' '), in.Args[0])
 		}
 	case OpBr:
-		fmt.Fprintf(w, "br %s", in.Blocks[0].BName)
+		b = append(append(b, "br "...), in.Blocks[0].BName...)
 	case OpCondBr:
-		fmt.Fprintf(w, "condbr %s, %s, %s",
-			in.Args[0].Ident(), in.Blocks[0].BName, in.Blocks[1].BName)
+		b = appendIdent(append(b, "condbr "...), in.Args[0])
+		b = append(append(b, ", "...), in.Blocks[0].BName...)
+		b = append(append(b, ", "...), in.Blocks[1].BName...)
 	case OpUnreachable:
-		io.WriteString(w, "unreachable")
+		b = append(b, "unreachable"...)
 	case OpBin:
-		fmt.Fprintf(w, "%s %s, %s, %s", in.Sub, in.T, in.Args[0].Ident(), in.Args[1].Ident())
+		b = appendOperands(appendType(append(append(b, in.Sub...), ' '), in.T), in.Args[0], in.Args[1])
 	case OpICmp:
-		fmt.Fprintf(w, "icmp %s, %s, %s", in.Sub, in.Args[0].Ident(), in.Args[1].Ident())
+		b = appendOperands(append(append(b, "icmp "...), in.Sub...), in.Args[0], in.Args[1])
 	default:
-		fmt.Fprintf(w, "<%s>", in.Op)
+		b = append(append(append(b, '<'), in.Op.String()...), '>')
 	}
+	return b
+}
+
+// appendOperands appends ", " and the spelling of each of vs.
+func appendOperands(b []byte, vs ...Value) []byte {
+	for _, v := range vs {
+		b = appendIdent(append(b, ", "...), v)
+	}
+	return b
 }
 
 // BinKinds lists the valid Sub values for OpBin.

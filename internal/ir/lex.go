@@ -133,7 +133,7 @@ func (l *lexer) scan() token {
 					isFloat = true
 					l.pos++
 				} else if (d == 'e' || d == 'E') && l.pos+1 < len(l.src) &&
-					(l.src[l.pos+1] == '-' || l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9') {
+					(l.src[l.pos+1] == '-' || l.src[l.pos+1] == '+' || l.src[l.pos+1] >= '0' && l.src[l.pos+1] <= '9') {
 					isFloat = true
 					l.pos += 2
 				} else {

@@ -75,7 +75,7 @@ func lexReference(src string) ([]token, error) {
 					isFloat = true
 					pos++
 				} else if (d == 'e' || d == 'E') && pos+1 < len(src) &&
-					(src[pos+1] == '-' || src[pos+1] >= '0' && src[pos+1] <= '9') {
+					(src[pos+1] == '-' || src[pos+1] == '+' || src[pos+1] >= '0' && src[pos+1] <= '9') {
 					isFloat = true
 					pos += 2
 				} else {

@@ -375,6 +375,12 @@ func (p *parser) parseConst() (Value, error) {
 			}
 			it, ok := pt.(IntType)
 			if !ok {
+				if ft, ok := pt.(FloatType); ok {
+					// Print spells an integral float without a point or
+					// an exponent ("2:f64"); ParseFloat keeps "-0" negative.
+					f, _ := strconv.ParseFloat(t.text, 64)
+					return &ConstFloat{Val: f, T: ft}, nil
+				}
 				return nil, p.errf(t, "integer constant with non-integer type %s", pt)
 			}
 			ty = it
@@ -481,7 +487,7 @@ func (p *parser) parseFuncDecl() error {
 	}
 	f := &Function{FName: name.text, Sig: sig, Linkage: Declared}
 	for i, pt := range sig.Params {
-		f.Params = append(f.Params, &Param{PName: fmt.Sprintf("p%d", i), T: pt, Index: i, Parent: f})
+		f.Params = append(f.Params, &Param{PName: "p" + strconv.Itoa(i), T: pt, Index: i, Parent: f})
 	}
 	return p.m.AddFunc(f)
 }
@@ -941,7 +947,7 @@ func (p *parser) parseInstr() (instrStub, error) {
 			// Statement-form void call: synthesize a result name so the
 			// instruction model stays uniform.
 			p.callCounter++
-			stub.in.IName = fmt.Sprintf("call.%d", p.callCounter)
+			stub.in.IName = "call." + strconv.Itoa(p.callCounter)
 		} else {
 			return instrStub{}, p.errf(t, "%s requires a result name", op)
 		}

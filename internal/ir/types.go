@@ -8,11 +8,6 @@
 // loads, stores, and geps carry the accessed type explicitly.
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Type is the interface implemented by all MIR types.
 type Type interface {
 	String() string
@@ -60,36 +55,13 @@ func (*ArrayType) isType()  {}
 func (*StructType) isType() {}
 func (*FuncType) isType()   {}
 
-func (VoidType) String() string    { return "void" }
-func (t IntType) String() string   { return fmt.Sprintf("i%d", t.Bits) }
-func (t FloatType) String() string { return fmt.Sprintf("f%d", t.Bits) }
-func (PointerType) String() string { return "ptr" }
-
-func (t *ArrayType) String() string {
-	return fmt.Sprintf("[%d x %s]", t.Len, t.Elem)
-}
-
-func (t *StructType) String() string {
-	if t.Name != "" {
-		return "%" + t.Name
-	}
-	fields := make([]string, len(t.Fields))
-	for i, f := range t.Fields {
-		fields[i] = f.String()
-	}
-	return "{ " + strings.Join(fields, ", ") + " }"
-}
-
-func (t *FuncType) String() string {
-	params := make([]string, len(t.Params))
-	for i, p := range t.Params {
-		params[i] = p.String()
-	}
-	if t.Variadic {
-		params = append(params, "...")
-	}
-	return fmt.Sprintf("func(%s) -> %s", strings.Join(params, ", "), t.Ret)
-}
+func (VoidType) String() string      { return "void" }
+func (t IntType) String() string     { return string(appendType(nil, t)) }
+func (t FloatType) String() string   { return string(appendType(nil, t)) }
+func (PointerType) String() string   { return "ptr" }
+func (t *ArrayType) String() string  { return string(appendType(nil, t)) }
+func (t *StructType) String() string { return string(appendType(nil, t)) }
+func (t *FuncType) String() string   { return string(appendType(nil, t)) }
 
 // Singleton instances for the common scalar types.
 var (

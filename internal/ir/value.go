@@ -1,9 +1,6 @@
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Value is anything that can appear as an instruction operand: constants,
 // globals, functions, parameters, and instruction results.
@@ -51,7 +48,7 @@ type ConstInt struct {
 }
 
 func (c *ConstInt) Type() Type    { return c.T }
-func (c *ConstInt) Ident() string { return fmt.Sprintf("%d:%s", c.Val, c.T) }
+func (c *ConstInt) Ident() string { return string(appendIdent(nil, c)) }
 
 // ConstFloat is a floating-point constant.
 type ConstFloat struct {
@@ -60,7 +57,7 @@ type ConstFloat struct {
 }
 
 func (c *ConstFloat) Type() Type    { return c.T }
-func (c *ConstFloat) Ident() string { return fmt.Sprintf("%g:%s", c.Val, c.T) }
+func (c *ConstFloat) Ident() string { return string(appendIdent(nil, c)) }
 
 // ConstNull is the null pointer constant.
 type ConstNull struct{}
@@ -72,13 +69,13 @@ func (*ConstNull) Ident() string { return "null" }
 type ConstUndef struct{ T Type }
 
 func (c *ConstUndef) Type() Type    { return c.T }
-func (c *ConstUndef) Ident() string { return "undef:" + c.T.String() }
+func (c *ConstUndef) Ident() string { return string(appendIdent(nil, c)) }
 
 // ConstZero is an all-zeros aggregate or scalar initializer.
 type ConstZero struct{ T Type }
 
 func (c *ConstZero) Type() Type    { return c.T }
-func (c *ConstZero) Ident() string { return "zero:" + c.T.String() }
+func (c *ConstZero) Ident() string { return string(appendIdent(nil, c)) }
 
 // ConstAggregate is a brace-initialized aggregate constant, used for
 // global array/struct initializers such as function-pointer tables.
@@ -88,14 +85,8 @@ type ConstAggregate struct {
 	Elems []Value
 }
 
-func (c *ConstAggregate) Type() Type { return c.T }
-func (c *ConstAggregate) Ident() string {
-	parts := make([]string, len(c.Elems))
-	for i, e := range c.Elems {
-		parts[i] = e.Ident()
-	}
-	return "{ " + strings.Join(parts, ", ") + " }"
-}
+func (c *ConstAggregate) Type() Type    { return c.T }
+func (c *ConstAggregate) Ident() string { return string(appendIdent(nil, c)) }
 
 // Global is a module-level variable. As a Value it denotes the *address* of
 // the variable and therefore has type ptr; Elem is the allocated type.
