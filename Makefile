@@ -101,7 +101,8 @@ differential:
 
 # Short bounded fuzz pass over the solver-vs-reference oracle, engine
 # recovery, incremental edits, demand slices, the MIR parser (checked
-# against the whole-input reference lexer) and C edit scripts through
+# against the whole-input reference lexer), the mini-C frontend (every
+# module it produces verifies and analyzes) and C edit scripts through
 # pip.Session (checked against from-scratch analyses); the other targets' seed
 # corpora run via plain `make test`. Go's fuzzer allows one fuzz target
 # per invocation, so each runs separately. Override FUZZTIME for longer
@@ -113,6 +114,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzIncrementalEdit -fuzztime=$(FUZZTIME) ./internal/core/differential/
 	$(GO) test -run=^$$ -fuzz=FuzzDemandSlice -fuzztime=$(FUZZTIME) ./internal/core/differential/
 	$(GO) test -run=^$$ -fuzz=FuzzParse -fuzztime=$(FUZZTIME) ./internal/ir/
+	$(GO) test -run=^$$ -fuzz=FuzzCompile -fuzztime=$(FUZZTIME) ./internal/cfront/
 	$(GO) test -run=^$$ -fuzz=FuzzCEdit -fuzztime=$(FUZZTIME) .
 
 # Edit-script differential gate for incremental re-solving plus the

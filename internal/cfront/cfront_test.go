@@ -524,3 +524,33 @@ long distance(int *a, int *b) {
 		t.Fatal("advance's result should carry the parameter's unknown origin")
 	}
 }
+
+// TestArrayLengthOutOfRange pins that an array length that overflows an
+// int or is not a valid literal is an error with its line, not a clamped
+// or zero length, and that valid lengths keep their meaning.
+func TestArrayLengthOutOfRange(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"int a[99999999999999999999];", `line 1: bad array length "99999999999999999999"`},
+		{"int x;\nint f(void) { int a[09]; return 0; }", `line 2: bad array length "09"`},
+		{"struct s { int *p[0x8000000000000000]; };", `line 1: bad array length "0x8000000000000000"`},
+	} {
+		_, err := Compile("t", c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Compile(%q) = %v, want %s", c.src, err, c.want)
+		}
+	}
+	for _, c := range []struct{ src, want string }{
+		{"int a[0x10];", "[16 x i32]"},
+		{"int a[010];", "[8 x i32]"},
+		{"char a[9223372036854775807];", "[9223372036854775807 x i8]"},
+	} {
+		m, err := Compile("t", c.src)
+		if err != nil {
+			t.Errorf("Compile(%q): %v", c.src, err)
+			continue
+		}
+		if got := m.Global("a").Elem.String(); got != c.want {
+			t.Errorf("Compile(%q): a has type %s, want %s", c.src, got, c.want)
+		}
+	}
+}

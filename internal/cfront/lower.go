@@ -8,11 +8,16 @@ import (
 )
 
 // Compile parses and lowers a mini-C translation unit to an MIR module.
-func Compile(name, src string) (m *ir.Module, err error) {
+func Compile(name, src string) (*ir.Module, error) {
 	file, err := ParseC(src)
 	if err != nil {
 		return nil, err
 	}
+	return lower(name, file)
+}
+
+// lower lowers a parsed translation unit to a verified MIR module.
+func lower(name string, file *File) (m *ir.Module, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if ce, ok := r.(*compileError); ok {
@@ -241,18 +246,18 @@ func (lw *lowerer) constInit(e Expr, want CType) ir.Value {
 	switch e := e.(type) {
 	case *IntLit:
 		if it, ok := lw.irTypeOf(want).(ir.IntType); ok {
-			return ir.Int(e.Val, it)
+			return lw.b.Int(e.Val, it)
 		}
 		if e.Val == 0 && isPointerLike(want) {
 			return ir.Null()
 		}
-		return ir.Int(e.Val, ir.I64)
+		return lw.b.Int(e.Val, ir.I64)
 	case *FloatLit:
 		ft, ok := lw.irTypeOf(want).(ir.FloatType)
 		if !ok {
 			ft = ir.F64
 		}
-		return &ir.ConstFloat{Val: e.Val, T: ft}
+		return lw.b.Float(e.Val, ft)
 	case *NullLit:
 		return ir.Null()
 	case *StrLit:
@@ -361,9 +366,9 @@ func (lw *lowerer) emitDefaultReturn() {
 func (lw *lowerer) zeroValue(t CType) ir.Value {
 	switch it := lw.irTypeOf(t).(type) {
 	case ir.IntType:
-		return ir.Int(0, it)
+		return lw.b.Int(0, it)
 	case ir.FloatType:
-		return &ir.ConstFloat{T: it}
+		return lw.b.Float(0, it)
 	case ir.PointerType:
 		return ir.Null()
 	default:
@@ -419,7 +424,7 @@ func (lw *lowerer) lowerLocalInit(slot ir.Value, t CType, init Expr, line int) {
 	case *Arr:
 		elemIR := lw.irTypeOf(t.Elem)
 		for i, e := range lst.Elems {
-			addr := lw.b.GEP(elemIR, slot, ir.Int(int64(i), ir.I64))
+			addr := lw.b.GEP(elemIR, slot, lw.b.Int(int64(i), ir.I64))
 			lw.lowerLocalInit(addr, t.Elem, e, line)
 		}
 	case *StructRef:
@@ -434,7 +439,7 @@ func (lw *lowerer) lowerLocalInit(slot ir.Value, t CType, init Expr, line int) {
 			var addr ir.Value = slot
 			if !t.Def.Union {
 				addr = lw.b.GEP(lw.irStruct(t.Def), slot,
-					ir.Int(0, ir.I64), ir.Int(int64(i), ir.I64))
+					lw.b.Int(0, ir.I64), lw.b.Int(int64(i), ir.I64))
 			}
 			lw.lowerLocalInit(addr, f.Type, e, line)
 		}

@@ -13,15 +13,15 @@ import (
 func (lw *lowerer) rvalue(e Expr) (ir.Value, CType) {
 	switch e := e.(type) {
 	case *IntLit:
-		return ir.Int(e.Val, ir.I32), cInt
+		return lw.b.Int(e.Val, ir.I32), cInt
 	case *FloatLit:
-		return &ir.ConstFloat{Val: e.Val, T: ir.F64}, cDouble
+		return lw.b.Float(e.Val, ir.F64), cDouble
 	case *StrLit:
 		return lw.stringGlobal(e.Val), &Ptr{Elem: cChar}
 	case *NullLit:
 		return ir.Null(), &Ptr{Elem: cVoid}
 	case *SizeofExpr:
-		return ir.Int(ir.SizeOf(lw.irTypeOf(e.T)), ir.I64), cLong
+		return lw.b.Int(ir.SizeOf(lw.irTypeOf(e.T)), ir.I64), cLong
 	case *Ident:
 		sym := lw.lookup(e.Name)
 		if sym == nil {
@@ -130,7 +130,7 @@ func (lw *lowerer) lvalue(e Expr) (ir.Value, CType) {
 					return base, f.Type
 				}
 				addr := lw.b.GEP(lw.irStruct(sr.Def), base,
-					ir.Int(0, ir.I64), ir.Int(int64(fi), ir.I64))
+					lw.b.Int(0, ir.I64), lw.b.Int(int64(fi), ir.I64))
 				return addr, f.Type
 			}
 		}
@@ -161,22 +161,22 @@ func (lw *lowerer) rvalueUnary(e *Unary) (ir.Value, CType) {
 		it, ok := lw.irTypeOf(vt).(ir.IntType)
 		if !ok {
 			if ft, isF := lw.irTypeOf(vt).(ir.FloatType); isF {
-				return lw.b.Bin("sub", ft, &ir.ConstFloat{T: ft}, v), vt
+				return lw.b.Bin("sub", ft, lw.b.Float(0, ft), v), vt
 			}
 			lw.errf(e.Line, "negation of non-numeric type %s", vt)
 		}
-		return lw.b.Bin("sub", it, ir.Int(0, it), v), vt
+		return lw.b.Bin("sub", it, lw.b.Int(0, it), v), vt
 	case "!":
 		v, vt := lw.rvalue(e.X)
 		b := lw.toBool(v, vt)
-		return lw.b.ICmp("eq", b, ir.Int(0, ir.I8)), cInt
+		return lw.b.ICmp("eq", b, lw.b.Int(0, ir.I8)), cInt
 	case "~":
 		v, vt := lw.rvalue(e.X)
 		it, ok := lw.irTypeOf(vt).(ir.IntType)
 		if !ok {
 			lw.errf(e.Line, "~ on non-integer type %s", vt)
 		}
-		return lw.b.Bin("xor", it, v, ir.Int(-1, it)), vt
+		return lw.b.Bin("xor", it, v, lw.b.Int(-1, it)), vt
 	default:
 		panic("unknown unary op " + e.Op)
 	}
@@ -210,7 +210,7 @@ func (lw *lowerer) rvalueBinary(e *Binary) (ir.Value, CType) {
 		}
 		off := y
 		if e.Op == "-" {
-			off = lw.b.Bin("sub", ir.I64, ir.Int(0, ir.I64), y)
+			off = lw.b.Bin("sub", ir.I64, lw.b.Int(0, ir.I64), y)
 		}
 		elem := lw.irTypeOf(xPtr.Elem)
 		if ir.TypesEqual(elem, ir.Void) {
@@ -228,16 +228,19 @@ func (lw *lowerer) rvalueBinary(e *Binary) (ir.Value, CType) {
 		return lw.b.GEP(elem, y, x), yt
 	}
 
-	kind := map[string]string{
-		"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "rem",
-		"&": "and", "|": "or", "^": "xor", "<<": "shl", ">>": "shr",
-	}[e.Op]
+	kind := binKinds[e.Op]
 	if kind == "" {
 		panic("unknown binary op " + e.Op)
 	}
 	rt := arithType(xt, yt)
 	irt := lw.irTypeOf(rt)
 	return lw.b.Bin(kind, irt, x, y), rt
+}
+
+// binKinds maps a C binary operator to its MIR bin kind.
+var binKinds = map[string]string{
+	"+": "add", "-": "sub", "*": "mul", "/": "div", "%": "rem",
+	"&": "and", "|": "or", "^": "xor", "<<": "shl", ">>": "shr",
 }
 
 // arithType implements loose usual-arithmetic-conversions.
@@ -323,7 +326,9 @@ func (lw *lowerer) rvalueCall(e *Call) (ir.Value, CType) {
 			lw.errf(e.Line, "called value has non-function type %s", vt)
 		}
 	}
-	args := make([]ir.Value, 0, len(e.Args))
+	// The builder copies the arguments, so a short list stays on the stack.
+	var buf [8]ir.Value
+	args := buf[:0]
 	for i, a := range e.Args {
 		v, vt := lw.rvalue(a)
 		if i < len(ft.Params) {
@@ -344,12 +349,12 @@ func (lw *lowerer) toBool(v ir.Value, t CType) ir.Value {
 		return lw.b.ICmp("ne", v, ir.Null())
 	}
 	if it, ok := v.Type().(ir.IntType); ok {
-		return lw.b.ICmp("ne", v, ir.Int(0, it))
+		return lw.b.ICmp("ne", v, lw.b.Int(0, it))
 	}
 	if ft, ok := v.Type().(ir.FloatType); ok {
-		return lw.b.ICmp("ne", v, &ir.ConstFloat{T: ft})
+		return lw.b.ICmp("ne", v, lw.b.Float(0, ft))
 	}
-	return lw.b.ICmp("ne", v, ir.Int(0, ir.I64))
+	return lw.b.ICmp("ne", v, lw.b.Int(0, ir.I64))
 }
 
 // convert coerces v from type "from" to type "to", inserting the cast
@@ -398,7 +403,7 @@ func (lw *lowerer) storeConvertedAt(addr ir.Value, lt CType, v ir.Value, vt CTyp
 	if sr, isStruct := lt.(*StructRef); isStruct {
 		// Struct assignment: raw copy (v is the source address).
 		size := ir.SizeOf(lw.irStruct(sr.Def))
-		lw.b.Memcpy(addr, v, ir.Int(size, ir.I64))
+		lw.b.Memcpy(addr, v, lw.b.Int(size, ir.I64))
 		return
 	}
 	lw.b.Store(lw.convert(v, vt, lt, line), addr)

@@ -459,7 +459,10 @@ func (p *parser) parseDeclParts(abstract bool) (*declParts, error) {
 		case p.acceptPunct("["):
 			ln := 0
 			if t := p.peek(); t.kind == tInt {
-				v, _ := strconv.ParseInt(t.text, 0, 64)
+				v, err := strconv.ParseInt(t.text, 0, strconv.IntSize)
+				if err != nil {
+					return nil, p.errf(t, "bad array length %q", t.text)
+				}
 				ln = int(v)
 				p.pos++
 			}

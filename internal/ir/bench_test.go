@@ -12,11 +12,14 @@ import (
 var servePool = workload.Options{Seed: 1, Scale: 0.05, SizeScale: 0.1, MaxInstrs: 4000}
 
 // BenchmarkParse parses every pool module from its printed MIR; one op is
-// one pass over the pool.
+// one pass over the pool. It also reports ns/instr, to be read against
+// perfbench's ir.parse_ns_per_instr.
 func BenchmarkParse(b *testing.B) {
 	var srcs []string
+	instrs := 0
 	for _, f := range workload.GenerateCorpus(servePool) {
 		srcs = append(srcs, ir.Print(f.Module))
+		instrs += f.Module.NumInstrs()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -27,6 +30,7 @@ func BenchmarkParse(b *testing.B) {
 			}
 		}
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*instrs), "ns/instr")
 }
 
 // BenchmarkPrint prints every pool module to a string; one op is one

@@ -6,3 +6,10 @@ var ParseSeeds = parseSeeds
 // PrintReference exposes the fmt-based reference printer to the external
 // tests.
 var PrintReference = printReference
+
+// LayoutError and MutationError expose the layout checks to the external
+// tests.
+var (
+	LayoutError   = layoutError
+	MutationError = mutationError
+)

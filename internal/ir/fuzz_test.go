@@ -26,8 +26,8 @@ var parseSeeds = []string{
 // FuzzParse checks that the MIR parser never panics, that the pull
 // scanner agrees with the whole-input reference lexer (same tokens, and
 // for rejected input the same error from Parse), and that anything the
-// parser accepts verifies, prints the reference printer's text, and
-// round-trips.
+// parser accepts verifies, prints the reference printer's text,
+// round-trips, and has the chunked layout (see layoutError).
 func FuzzParse(f *testing.F) {
 	for _, s := range parseSeeds {
 		f.Add(s)
@@ -50,6 +50,14 @@ func FuzzParse(f *testing.F) {
 		}
 		if Print(m2) != text {
 			t.Fatalf("round-trip not a fixed point:\n%s\nvs\n%s", text, Print(m2))
+		}
+		// Every list is capacity-limited, and mutating one leaves the
+		// rest of the module as it was.
+		if err := layoutError(m); err != nil {
+			t.Fatal(err)
+		}
+		if err := mutationError(m); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -269,6 +269,33 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseArrayLengthOutOfRange pins that an array length that is
+// negative or does not fit an int is an error with its line, not a
+// clamped or negative length.
+func TestParseArrayLengthOutOfRange(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"global @g : [99999999999999999999 x i32] export", "line 1: array length 99999999999999999999 out of range"},
+		{"global @g : [-1 x i32] = zero:[-1 x i32] export", "line 1: array length -1 out of range"},
+		{"func @f() export {\nentry:\n  %a = alloca [-3 x i8]\n  ret\n}", "line 3: array length -3 out of range"},
+	} {
+		_, err := Parse(c.src)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Parse(%q) = %v, want %s", c.src, err, c.want)
+		}
+	}
+	for _, src := range []string{
+		"module \"\"\nglobal @g : [0 x i32] export\n",
+		"module \"\"\nglobal @g : [9223372036854775807 x i8] export\n",
+	} {
+		m, err := Parse(src)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", src, err)
+		} else if got := Print(m); got != src {
+			t.Errorf("Parse(%q) prints back as %q", src, got)
+		}
+	}
+}
+
 func TestVerifyCatchesBadModules(t *testing.T) {
 	// Unterminated block.
 	m := NewModule("bad")

@@ -3,7 +3,6 @@ package ir
 import (
 	"fmt"
 	"strconv"
-	"strings"
 	"unicode"
 )
 
@@ -53,13 +52,26 @@ type lexer struct {
 
 func newLexer(src string) lexer { return lexer{src: src, line: 1} }
 
-func isIdentStart(r byte) bool {
-	return r == '_' || r == '.' || unicode.IsLetter(rune(r))
+// Byte classes, computed once. A byte of 0x80 or above classifies as the
+// Latin-1 code point of the same value, as unicode.IsLetter sees it.
+var identStart, identPart, punct [256]bool
+
+func init() {
+	for i := range identStart {
+		r := rune(i)
+		identStart[i] = r == '_' || r == '.' || unicode.IsLetter(r)
+		identPart[i] = identStart[i] || unicode.IsDigit(r)
+	}
+	// 'x' appears only inside array types "[4 x i32]" and is lexed as an
+	// ident before the punctuation case is reached.
+	for _, c := range []byte("(){}[],:=x") {
+		punct[c] = true
+	}
 }
 
-func isIdentPart(r byte) bool {
-	return r == '_' || r == '.' || unicode.IsLetter(rune(r)) || unicode.IsDigit(rune(r))
-}
+func isIdentStart(r byte) bool { return identStart[r] }
+
+func isIdentPart(r byte) bool { return identPart[r] }
 
 // fail records a lexical error (with line information) and returns the
 // end-of-input token that every later scan repeats.
@@ -155,11 +167,9 @@ func (l *lexer) scan() token {
 				l.pos++
 			}
 			return token{tIdent, l.src[start:l.pos], l.line}
-		case strings.ContainsRune("(){}[],:=x", rune(c)):
-			// 'x' appears only inside array types "[4 x i32]" and is
-			// lexed as an ident above; remaining single glyphs:
+		case punct[c]:
 			l.pos++
-			return token{tPunct, string(c), l.line}
+			return token{tPunct, l.src[l.pos-1 : l.pos], l.line}
 		default:
 			return l.fail("unexpected character %q", string(c))
 		}

@@ -50,11 +50,19 @@ type parser struct {
 	callCounter int
 
 	// Per-function scratch, reused from one function body to the next:
-	// the body's instruction stubs, their operand references, and its
-	// local names.
-	stubs  []instrStub
-	refs   []operandRef
-	locals map[string]Value
+	// the body's blocks and instruction stubs, the stubs' operand and
+	// block references, and the body's block and local names.
+	fblocks []*Block
+	stubs   []instrStub
+	refs    []operandRef
+	brefs   []string
+	blocks  map[string]*Block
+	locals  map[string]Value
+
+	// Storage chunks of the module (see chunk.go); a function body's
+	// instructions and lists are sized for it in resolveFuncRefs.
+	blockPool []Block
+	consts    constPool
 }
 
 type pendingInit struct {
@@ -325,7 +333,10 @@ func (p *parser) parseType() (Type, error) {
 			if n.kind != tInt {
 				return nil, p.errf(n, "array length must be an integer")
 			}
-			ln, _ := strconv.Atoi(n.text)
+			ln, err := strconv.Atoi(n.text)
+			if err != nil || ln < 0 {
+				return nil, p.errf(n, "array length %s out of range", n.text)
+			}
 			x := p.next()
 			if x.kind != tIdent || x.text != "x" {
 				return nil, p.errf(x, "expected 'x' in array type")
@@ -379,13 +390,13 @@ func (p *parser) parseConst() (Value, error) {
 					// Print spells an integral float without a point or
 					// an exponent ("2:f64"); ParseFloat keeps "-0" negative.
 					f, _ := strconv.ParseFloat(t.text, 64)
-					return &ConstFloat{Val: f, T: ft}, nil
+					return p.consts.floatConst(f, ft), nil
 				}
 				return nil, p.errf(t, "integer constant with non-integer type %s", pt)
 			}
 			ty = it
 		}
-		return &ConstInt{Val: v, T: ty}, nil
+		return p.consts.intConst(v, ty), nil
 	case tFloat:
 		v, err := strconv.ParseFloat(t.text, 64)
 		if err != nil {
@@ -403,7 +414,7 @@ func (p *parser) parseConst() (Value, error) {
 			}
 			ty = ft
 		}
-		return &ConstFloat{Val: v, T: ty}, nil
+		return p.consts.floatConst(v, ty), nil
 	case tIdent:
 		switch t.text {
 		case "null":
@@ -546,22 +557,25 @@ func (p *parser) parseOperandRef() (operandRef, error) {
 	}
 }
 
-// instrStub is a parsed instruction whose operands and block targets are
-// still names; its operands are p.refs[refStart:refEnd].
+// instrStub is an instruction parsed in place, whose operands and block
+// targets are still names: p.refs[refStart:refEnd] and
+// p.brefs[brefStart:brefEnd].
 type instrStub struct {
-	in               *Instr
-	refStart, refEnd int
-	blockRefs        []string
-	line             int
+	in                 Instr
+	refStart, refEnd   int
+	brefStart, brefEnd int
+	line               int
 }
 
 func (p *parser) parseFuncBody(f *Function) error {
 	if err := p.expectPunct("{"); err != nil {
 		return err
 	}
-	stubs := p.stubs[:0]
-	p.refs = p.refs[:0]
-	blocks := map[string]*Block{}
+	p.fblocks, p.stubs, p.refs, p.brefs = p.fblocks[:0], p.stubs[:0], p.refs[:0], p.brefs[:0]
+	if p.blocks == nil {
+		p.blocks = map[string]*Block{}
+	}
+	clear(p.blocks)
 	var cur *Block
 	for !p.acceptPunct("}") {
 		t := p.peek()
@@ -573,27 +587,26 @@ func (p *parser) parseFuncBody(f *Function) error {
 			!isInstrStart(t.text) {
 			p.next()
 			p.next()
-			if blocks[t.text] != nil {
+			if p.blocks[t.text] != nil {
 				return p.errf(t, "duplicate block %s", t.text)
 			}
-			cur = &Block{BName: t.text, Parent: f}
-			blocks[t.text] = cur
-			f.Blocks = append(f.Blocks, cur)
+			cur = &carve(&p.blockPool, 1)[0]
+			cur.BName, cur.Parent = t.text, f
+			p.blocks[t.text] = cur
+			p.fblocks = append(p.fblocks, cur)
 			continue
 		}
 		if cur == nil {
 			return p.errf(t, "instruction before first block label")
 		}
-		stub, err := p.parseInstr()
-		if err != nil {
+		p.stubs = append(p.stubs, instrStub{})
+		s := &p.stubs[len(p.stubs)-1]
+		if err := p.parseInstr(s); err != nil {
 			return err
 		}
-		stub.in.Parent = cur
-		cur.Instrs = append(cur.Instrs, stub.in)
-		stubs = append(stubs, stub)
+		s.in.Parent = cur
 	}
-	p.stubs = stubs
-	return p.resolveFuncRefs(f, blocks, stubs)
+	return p.resolveFuncRefs(f)
 }
 
 // isInstrStart reports whether word begins an instruction (as opposed to a
@@ -608,7 +621,38 @@ func isInstrStart(word string) bool {
 	return IsBinKind(word)
 }
 
-func (p *parser) resolveFuncRefs(f *Function, blocks map[string]*Block, stubs []instrStub) error {
+// resolveFuncRefs moves the body's stubs into one instruction chunk sized
+// for the body, cuts each block's instruction list from one list chunk,
+// and resolves operand and block names.
+func (p *parser) resolveFuncRefs(f *Function) error {
+	stubs := p.stubs
+	instrs := make([]Instr, len(stubs))
+	list := make([]*Instr, len(stubs))
+	// The function's block list and its block targets share one chunk.
+	nb := len(p.fblocks)
+	targets := make([]*Block, nb+len(p.brefs))
+	if nb > 0 {
+		f.Blocks = targets[:nb:nb]
+		copy(f.Blocks, p.fblocks)
+	}
+	targets = targets[nb:]
+	for i := range stubs {
+		instrs[i] = stubs[i].in
+		list[i] = &instrs[i]
+	}
+	// Each block's stubs are contiguous and in block order.
+	start := 0
+	for _, blk := range f.Blocks {
+		end := start
+		for end < len(instrs) && instrs[end].Parent == blk {
+			end++
+		}
+		if end > start {
+			blk.Instrs = list[start:end:end]
+		}
+		start = end
+	}
+
 	if p.locals == nil {
 		p.locals = make(map[string]Value, len(f.Params)+len(stubs))
 	}
@@ -617,34 +661,39 @@ func (p *parser) resolveFuncRefs(f *Function, blocks map[string]*Block, stubs []
 	for _, prm := range f.Params {
 		locals[prm.PName] = prm
 	}
-	for _, s := range stubs {
-		if s.in.Op.HasResult() {
-			if _, dup := locals[s.in.IName]; dup {
-				return fmt.Errorf("line %d: duplicate definition of %%%s", s.line, s.in.IName)
+	for i, in := range list {
+		if in.Op.HasResult() {
+			if _, dup := locals[in.IName]; dup {
+				return fmt.Errorf("line %d: duplicate definition of %%%s", stubs[i].line, in.IName)
 			}
-			locals[s.in.IName] = s.in
+			locals[in.IName] = in
 		}
 	}
-	for _, s := range stubs {
-		if s.refEnd > s.refStart {
-			s.in.Args = make([]Value, 0, s.refEnd-s.refStart)
-		}
-		for _, ref := range p.refs[s.refStart:s.refEnd] {
-			v, err := p.resolveOperand(ref, locals)
+	vals := make([]Value, len(p.refs))
+	for i, in := range list {
+		s := &stubs[i]
+		for j := s.refStart; j < s.refEnd; j++ {
+			v, err := p.resolveOperand(p.refs[j], locals)
 			if err != nil {
 				return err
 			}
-			s.in.Args = append(s.in.Args, v)
+			vals[j] = v
 		}
-		for _, bn := range s.blockRefs {
-			blk := blocks[bn]
+		if s.refEnd > s.refStart {
+			in.Args = vals[s.refStart:s.refEnd:s.refEnd]
+		}
+		for j := s.brefStart; j < s.brefEnd; j++ {
+			blk := p.blocks[p.brefs[j]]
 			if blk == nil {
-				return fmt.Errorf("line %d: unknown block %s", s.line, bn)
+				return fmt.Errorf("line %d: unknown block %s", s.line, p.brefs[j])
 			}
-			s.in.Blocks = append(s.in.Blocks, blk)
+			targets[j] = blk
 		}
-		if s.in.Op == OpSelect && s.in.T == nil {
-			s.in.T = s.in.Args[1].Type()
+		if s.brefEnd > s.brefStart {
+			in.Blocks = targets[s.brefStart:s.brefEnd:s.brefEnd]
+		}
+		if in.Op == OpSelect && in.T == nil {
+			in.T = in.Args[1].Type()
 		}
 	}
 	return nil
@@ -671,40 +720,25 @@ func (p *parser) resolveOperand(ref operandRef, locals map[string]Value) (Value,
 	}
 }
 
-// parseInstr parses one instruction into a stub with unresolved operands.
-func (p *parser) parseInstr() (instrStub, error) {
+// parseInstr parses one instruction into stub, leaving its operands and
+// block targets unresolved.
+func (p *parser) parseInstr(stub *instrStub) error {
 	t := p.peek()
-	stub := instrStub{in: &Instr{T: Void}, refStart: len(p.refs), line: t.line}
+	stub.in.T = Void
+	stub.refStart, stub.brefStart, stub.line = len(p.refs), len(p.brefs), t.line
 	// Optional "%name =" result.
 	if t.kind == tLocal {
 		p.next()
 		stub.in.IName = t.text
 		if err := p.expectPunct("="); err != nil {
-			return instrStub{}, err
+			return err
 		}
 		t = p.peek()
 	}
 	if t.kind != tIdent {
-		return instrStub{}, p.errf(t, "expected an instruction, found %s", t)
+		return p.errf(t, "expected an instruction, found %s", t)
 	}
 	op := p.next().text
-	operand := func() error {
-		ref, err := p.parseOperandRef()
-		if err != nil {
-			return err
-		}
-		p.refs = append(p.refs, ref)
-		return nil
-	}
-	comma := func() error { return p.expectPunct(",") }
-	blockRef := func() error {
-		bt := p.next()
-		if bt.kind != tIdent {
-			return p.errf(bt, "expected a block name, found %s", bt)
-		}
-		stub.blockRefs = append(stub.blockRefs, bt.text)
-		return nil
-	}
 
 	switch {
 	case op == "alloca":
@@ -712,126 +746,126 @@ func (p *parser) parseInstr() (instrStub, error) {
 		stub.in.T = Ptr
 		ty, err := p.parseType()
 		if err != nil {
-			return instrStub{}, err
+			return err
 		}
 		stub.in.Ty = ty
 	case op == "load":
 		stub.in.Op = OpLoad
 		ty, err := p.parseType()
 		if err != nil {
-			return instrStub{}, err
+			return err
 		}
 		stub.in.T, stub.in.Ty = ty, ty
-		if err := comma(); err != nil {
-			return instrStub{}, err
+		if err := p.expectPunct(","); err != nil {
+			return err
 		}
-		if err := operand(); err != nil {
-			return instrStub{}, err
+		if err := p.operand(); err != nil {
+			return err
 		}
 	case op == "store":
 		stub.in.Op = OpStore
-		if err := operand(); err != nil {
-			return instrStub{}, err
+		if err := p.operand(); err != nil {
+			return err
 		}
-		if err := comma(); err != nil {
-			return instrStub{}, err
+		if err := p.expectPunct(","); err != nil {
+			return err
 		}
-		if err := operand(); err != nil {
-			return instrStub{}, err
+		if err := p.operand(); err != nil {
+			return err
 		}
 	case op == "gep":
 		stub.in.Op = OpGEP
 		stub.in.T = Ptr
 		ty, err := p.parseType()
 		if err != nil {
-			return instrStub{}, err
+			return err
 		}
 		stub.in.Ty = ty
-		if err := comma(); err != nil {
-			return instrStub{}, err
+		if err := p.expectPunct(","); err != nil {
+			return err
 		}
-		if err := operand(); err != nil {
-			return instrStub{}, err
+		if err := p.operand(); err != nil {
+			return err
 		}
 		for p.acceptPunct(",") {
-			if err := operand(); err != nil {
-				return instrStub{}, err
+			if err := p.operand(); err != nil {
+				return err
 			}
 		}
 	case op == "memcpy":
 		stub.in.Op = OpMemcpy
 		for i := 0; i < 3; i++ {
 			if i > 0 {
-				if err := comma(); err != nil {
-					return instrStub{}, err
+				if err := p.expectPunct(","); err != nil {
+					return err
 				}
 			}
-			if err := operand(); err != nil {
-				return instrStub{}, err
+			if err := p.operand(); err != nil {
+				return err
 			}
 		}
 	case op == "bitcast":
 		stub.in.Op = OpBitcast
 		ty, err := p.parseType()
 		if err != nil {
-			return instrStub{}, err
+			return err
 		}
 		stub.in.T, stub.in.Ty = ty, ty
-		if err := comma(); err != nil {
-			return instrStub{}, err
+		if err := p.expectPunct(","); err != nil {
+			return err
 		}
-		if err := operand(); err != nil {
-			return instrStub{}, err
+		if err := p.operand(); err != nil {
+			return err
 		}
 	case op == "ptrtoint":
 		stub.in.Op = OpPtrToInt
 		stub.in.T = I64
-		if err := operand(); err != nil {
-			return instrStub{}, err
+		if err := p.operand(); err != nil {
+			return err
 		}
 	case op == "inttoptr":
 		stub.in.Op = OpIntToPtr
 		stub.in.T = Ptr
-		if err := operand(); err != nil {
-			return instrStub{}, err
+		if err := p.operand(); err != nil {
+			return err
 		}
 	case op == "phi":
 		stub.in.Op = OpPhi
 		ty, err := p.parseType()
 		if err != nil {
-			return instrStub{}, err
+			return err
 		}
 		stub.in.T = ty
 		for p.acceptPunct(",") {
 			if err := p.expectPunct("["); err != nil {
-				return instrStub{}, err
+				return err
 			}
-			if err := operand(); err != nil {
-				return instrStub{}, err
+			if err := p.operand(); err != nil {
+				return err
 			}
-			if err := comma(); err != nil {
-				return instrStub{}, err
+			if err := p.expectPunct(","); err != nil {
+				return err
 			}
-			if err := blockRef(); err != nil {
-				return instrStub{}, err
+			if err := p.blockRef(); err != nil {
+				return err
 			}
 			if err := p.expectPunct("]"); err != nil {
-				return instrStub{}, err
+				return err
 			}
 		}
 		if len(p.refs) == stub.refStart {
-			return instrStub{}, p.errf(t, "phi needs at least one incoming value")
+			return p.errf(t, "phi needs at least one incoming value")
 		}
 	case op == "select":
 		stub.in.Op = OpSelect
 		for i := 0; i < 3; i++ {
 			if i > 0 {
-				if err := comma(); err != nil {
-					return instrStub{}, err
+				if err := p.expectPunct(","); err != nil {
+					return err
 				}
 			}
-			if err := operand(); err != nil {
-				return instrStub{}, err
+			if err := p.operand(); err != nil {
+				return err
 			}
 		}
 		// The result type is fixed after resolution; recorded lazily as
@@ -843,26 +877,26 @@ func (p *parser) parseInstr() (instrStub, error) {
 		stub.in.Op = OpCall
 		ty, err := p.parseType()
 		if err != nil {
-			return instrStub{}, err
+			return err
 		}
 		stub.in.T = ty
-		if err := comma(); err != nil {
-			return instrStub{}, err
+		if err := p.expectPunct(","); err != nil {
+			return err
 		}
-		if err := operand(); err != nil { // callee
-			return instrStub{}, err
+		if err := p.operand(); err != nil { // callee
+			return err
 		}
 		if err := p.expectPunct("("); err != nil {
-			return instrStub{}, err
+			return err
 		}
 		for !p.acceptPunct(")") {
 			if len(p.refs)-stub.refStart > 1 {
-				if err := comma(); err != nil {
-					return instrStub{}, err
+				if err := p.expectPunct(","); err != nil {
+					return err
 				}
 			}
-			if err := operand(); err != nil {
-				return instrStub{}, err
+			if err := p.operand(); err != nil {
+				return err
 			}
 		}
 	case op == "ret":
@@ -871,31 +905,31 @@ func (p *parser) parseInstr() (instrStub, error) {
 		nt := p.peek()
 		if nt.kind == tLocal || nt.kind == tGlobalID || nt.kind == tInt || nt.kind == tFloat ||
 			nt.kind == tIdent && (nt.text == "null" || nt.text == "undef" || nt.text == "zero") {
-			if err := operand(); err != nil {
-				return instrStub{}, err
+			if err := p.operand(); err != nil {
+				return err
 			}
 		}
 	case op == "br":
 		stub.in.Op = OpBr
-		if err := blockRef(); err != nil {
-			return instrStub{}, err
+		if err := p.blockRef(); err != nil {
+			return err
 		}
 	case op == "condbr":
 		stub.in.Op = OpCondBr
-		if err := operand(); err != nil {
-			return instrStub{}, err
+		if err := p.operand(); err != nil {
+			return err
 		}
-		if err := comma(); err != nil {
-			return instrStub{}, err
+		if err := p.expectPunct(","); err != nil {
+			return err
 		}
-		if err := blockRef(); err != nil {
-			return instrStub{}, err
+		if err := p.blockRef(); err != nil {
+			return err
 		}
-		if err := comma(); err != nil {
-			return instrStub{}, err
+		if err := p.expectPunct(","); err != nil {
+			return err
 		}
-		if err := blockRef(); err != nil {
-			return instrStub{}, err
+		if err := p.blockRef(); err != nil {
+			return err
 		}
 	case op == "unreachable":
 		stub.in.Op = OpUnreachable
@@ -904,43 +938,43 @@ func (p *parser) parseInstr() (instrStub, error) {
 		stub.in.T = I1
 		pred := p.next()
 		if pred.kind != tIdent || !IsICmpPred(pred.text) {
-			return instrStub{}, p.errf(pred, "expected an icmp predicate, found %s", pred)
+			return p.errf(pred, "expected an icmp predicate, found %s", pred)
 		}
 		stub.in.Sub = pred.text
-		if err := comma(); err != nil {
-			return instrStub{}, err
+		if err := p.expectPunct(","); err != nil {
+			return err
 		}
-		if err := operand(); err != nil {
-			return instrStub{}, err
+		if err := p.operand(); err != nil {
+			return err
 		}
-		if err := comma(); err != nil {
-			return instrStub{}, err
+		if err := p.expectPunct(","); err != nil {
+			return err
 		}
-		if err := operand(); err != nil {
-			return instrStub{}, err
+		if err := p.operand(); err != nil {
+			return err
 		}
 	case IsBinKind(op):
 		stub.in.Op = OpBin
 		stub.in.Sub = op
 		ty, err := p.parseType()
 		if err != nil {
-			return instrStub{}, err
+			return err
 		}
 		stub.in.T = ty
-		if err := comma(); err != nil {
-			return instrStub{}, err
+		if err := p.expectPunct(","); err != nil {
+			return err
 		}
-		if err := operand(); err != nil {
-			return instrStub{}, err
+		if err := p.operand(); err != nil {
+			return err
 		}
-		if err := comma(); err != nil {
-			return instrStub{}, err
+		if err := p.expectPunct(","); err != nil {
+			return err
 		}
-		if err := operand(); err != nil {
-			return instrStub{}, err
+		if err := p.operand(); err != nil {
+			return err
 		}
 	default:
-		return instrStub{}, p.errf(t, "unknown instruction %q", op)
+		return p.errf(t, "unknown instruction %q", op)
 	}
 	if stub.in.Op.HasResult() && stub.in.IName == "" {
 		if stub.in.Op == OpCall && TypesEqual(stub.in.T, Void) {
@@ -949,12 +983,32 @@ func (p *parser) parseInstr() (instrStub, error) {
 			p.callCounter++
 			stub.in.IName = "call." + strconv.Itoa(p.callCounter)
 		} else {
-			return instrStub{}, p.errf(t, "%s requires a result name", op)
+			return p.errf(t, "%s requires a result name", op)
 		}
 	}
 	if !stub.in.Op.HasResult() && stub.in.IName != "" {
-		return instrStub{}, p.errf(t, "%s does not produce a result", op)
+		return p.errf(t, "%s does not produce a result", op)
 	}
-	stub.refEnd = len(p.refs)
-	return stub, nil
+	stub.refEnd, stub.brefEnd = len(p.refs), len(p.brefs)
+	return nil
+}
+
+// operand parses an operand reference into p.refs.
+func (p *parser) operand() error {
+	ref, err := p.parseOperandRef()
+	if err != nil {
+		return err
+	}
+	p.refs = append(p.refs, ref)
+	return nil
+}
+
+// blockRef parses a block name into p.brefs.
+func (p *parser) blockRef() error {
+	bt := p.next()
+	if bt.kind != tIdent {
+		return p.errf(bt, "expected a block name, found %s", bt)
+	}
+	p.brefs = append(p.brefs, bt.text)
+	return nil
 }

@@ -14,15 +14,23 @@ func Verify(m *Module) error {
 			return fmt.Errorf("global @%s has no element type", g.GName)
 		}
 	}
+	// One pair of name sets serves every function, cleared between them.
+	v := verifier{blocks: map[string]bool{}, names: map[string]bool{}}
 	for _, f := range m.Funcs {
-		if err := verifyFunc(f); err != nil {
+		if err := v.verifyFunc(f); err != nil {
 			return fmt.Errorf("func @%s: %w", f.FName, err)
 		}
 	}
 	return nil
 }
 
-func verifyFunc(f *Function) error {
+// verifier holds the block and value names seen in the function being
+// verified.
+type verifier struct {
+	blocks, names map[string]bool
+}
+
+func (v *verifier) verifyFunc(f *Function) error {
 	if f.Sig == nil {
 		return fmt.Errorf("missing signature")
 	}
@@ -38,8 +46,9 @@ func verifyFunc(f *Function) error {
 	if f.Linkage == Declared {
 		return fmt.Errorf("declared function has a body")
 	}
-	blocks := map[string]bool{}
-	names := map[string]bool{}
+	blocks, names := v.blocks, v.names
+	clear(blocks)
+	clear(names)
 	for _, p := range f.Params {
 		if names[p.PName] {
 			return fmt.Errorf("duplicate name %%%s", p.PName)

@@ -266,7 +266,7 @@ func (g *fileGen) anyPtr() ir.Value {
 
 func (g *fileGen) anyScalar() ir.Value {
 	if len(g.scalars) == 0 || g.rng.Intn(4) == 0 {
-		return ir.Int(int64(g.rng.Intn(1000)), ir.I64)
+		return g.b.Int(int64(g.rng.Intn(1000)), ir.I64)
 	}
 	return g.scalars[g.rng.Intn(len(g.scalars))]
 }
@@ -348,7 +348,7 @@ func (g *fileGen) genFunction(name string, budget int) {
 			emit(1)
 		case r < 0.80: // gep
 			v := g.b.GEP(g.structs[rng.Intn(len(g.structs))], g.anyPtr(),
-				ir.Int(0, ir.I64), ir.Int(int64(rng.Intn(2)), ir.I64))
+				g.b.Int(0, ir.I64), g.b.Int(int64(rng.Intn(2)), ir.I64))
 			g.ptrs = append(g.ptrs, v)
 			emit(1)
 		case r < 0.80+g.spec.SmuggleRate: // pointer-integer round trips
@@ -377,7 +377,7 @@ func (g *fileGen) genCall() {
 	r := rng.Float64()
 	switch {
 	case g.hasHeap && r < g.spec.HeapRate*0.5:
-		h := g.b.Call(ir.Ptr, g.m.Func("malloc"), ir.Int(int64(8+rng.Intn(64)), ir.I64))
+		h := g.b.Call(ir.Ptr, g.m.Func("malloc"), g.b.Int(int64(8+rng.Intn(64)), ir.I64))
 		g.ptrs = append(g.ptrs, h)
 	case r < g.spec.ExternRate && len(g.externs) > 0:
 		callee := g.externs[rng.Intn(len(g.externs))]
