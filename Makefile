@@ -40,9 +40,12 @@ bench-snapshot:
 # End-to-end check of the analysis service: ephemeral port, one real
 # HTTP solve + healthz + a validated Prometheus /metrics scrape + a
 # traced request round-tripped through /debug/trace?id= and
-# /debug/flightrec, graceful drain.
+# /debug/flightrec, graceful drain. The request's solve spans are
+# written to serve-trace.json, which -check-trace re-validates
+# standalone (CI archives the file).
 serve-smoke:
-	$(GO) run ./cmd/pipserve -smoke
+	$(GO) run ./cmd/pipserve -smoke -trace serve-trace.json
+	$(GO) run ./cmd/pipserve -check-trace serve-trace.json
 
 # Same, for router mode: an in-process solving backend is spun up and
 # one traced solve is pushed through the full consistent-hash forward

@@ -144,8 +144,16 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *backendList != "" && *backendsFile != "" {
 		return fmt.Errorf("-backends and -backends-file are mutually exclusive")
 	}
-	if *routerMode && *storeDir != "" {
-		return fmt.Errorf("-store is a solving-server flag; the router holds no solutions")
+	if *routerMode {
+		var set []string
+		fs.Visit(func(f *flag.Flag) {
+			if solverFlags[f.Name] {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			return fmt.Errorf("%s: solving-server flags; the router runs no solver and holds no solutions", strings.Join(set, " "))
+		}
 	}
 
 	if *checkTrace != "" {
@@ -168,8 +176,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer disarm()
 	}
 
+	var logTo io.Writer
+	if !*quiet {
+		logTo = stderr
+	}
 	if *routerMode {
-		return runRouter(*addr, *backendList, *backendsFile, *flightDir, *drainTimeout, *smoke, *quiet, stdout, stderr)
+		return runRouter(*addr, *backendList, *backendsFile, *flightDir, *drainTimeout, *smoke, logTo, stdout, stderr)
 	}
 
 	cfg, err := pip.ParseConfig(*configName)
@@ -188,6 +200,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		WatchdogFactor: *watchdogFactor,
 		MemSoftLimit:   *memSoftLimit,
 		Breaker:        serve.BreakerOptions{Disabled: *noBreaker},
+		LogWriter:      logTo,
+		FlightDir:      *flightDir,
 	}
 	if *tightBudgetStr != "" {
 		b, err := pip.ParseBudget(*tightBudgetStr)
@@ -196,7 +210,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		opts.TightBudget = b
 	}
-	opts.FlightDir = *flightDir
 	var tr *pip.Trace
 	var checkpoint func()
 	if *tracePath != "" {
@@ -221,10 +234,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		opts.DefaultBudget = b
 	}
-	if !*quiet {
-		opts.LogWriter = stderr
-	}
-
 	s := serve.New(opts)
 	if *storeDir != "" {
 		if err := s.OpenStore(*storeDir); err != nil {
@@ -232,19 +241,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "persistent store at %s\n", *storeDir)
 	}
-
-	listenAddr := *addr
-	if *smoke {
-		listenAddr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", listenAddr)
-	if err != nil {
-		return err
-	}
-	httpSrv := &http.Server{Handler: s.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.Serve(ln) }()
-	fmt.Fprintf(stdout, "pipserve listening on %s (config %s)\n", ln.Addr(), cfg)
 
 	if checkpoint != nil && *traceCheckpoint > 0 {
 		tick := time.NewTicker(*traceCheckpoint)
@@ -262,33 +258,19 @@ func run(args []string, stdout, stderr io.Writer) error {
 		defer func() { tick.Stop(); close(done) }()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
+	var check func(base string) error
 	if *smoke {
-		if err := smokeCheck("http://" + ln.Addr().String()); err != nil {
-			httpSrv.Close()
-			return fmt.Errorf("smoke: %w", err)
-		}
-		fmt.Fprintln(stdout, "smoke ok")
-	} else {
-		select {
-		case <-ctx.Done():
-			fmt.Fprintln(stdout, "signal received, draining")
-		case err := <-serveErr:
-			return err
+		check = func(base string) error {
+			return smokeCheck(base, nil, "pip_solve_latency_seconds_count 1", "pip_requests_accepted_total 1")
 		}
 	}
-
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
-	if err := s.Shutdown(dctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
+	drain := func(ctx context.Context) error {
+		if err := s.Shutdown(ctx); err != nil {
+			return fmt.Errorf("drain: %w", err)
+		}
+		return nil
 	}
-	if err := httpSrv.Shutdown(dctx); err != nil {
-		return fmt.Errorf("http shutdown: %w", err)
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
+	if err := serveLoop(*addr, "config "+cfg.String(), s.Handler(), check, drain, *drainTimeout, stdout); err != nil {
 		return err
 	}
 	if *storeDir != "" {
@@ -335,7 +317,7 @@ func readBackendsFile(path string) ([]string, error) {
 // mode with no backends it starts one in-process solving backend on an
 // ephemeral port, so the smoke check exercises real forwarding end to
 // end.
-func runRouter(addr, backendList, backendsFile, flightDir string, drainTimeout time.Duration, smoke, quiet bool, stdout, stderr io.Writer) error {
+func runRouter(addr, backendList, backendsFile, flightDir string, drainTimeout time.Duration, smoke bool, logTo, stdout, stderr io.Writer) error {
 	var backends []string
 	if backendsFile != "" {
 		var err error
@@ -375,11 +357,7 @@ func runRouter(addr, backendList, backendsFile, flightDir string, drainTimeout t
 		}
 	}
 
-	ropts := serve.RouterOptions{Backends: backends, FlightDir: flightDir}
-	if !quiet {
-		ropts.LogWriter = stderr
-	}
-	rt := serve.NewRouter(ropts)
+	rt := serve.NewRouter(serve.RouterOptions{Backends: backends, LogWriter: logTo, FlightDir: flightDir})
 	defer rt.Close()
 
 	// SIGHUP re-reads the backends file and reconciles membership in
@@ -407,24 +385,56 @@ func runRouter(addr, backendList, backendsFile, flightDir string, drainTimeout t
 		}()
 	}
 
-	listenAddr := addr
+	var check func(base string) error
 	if smoke {
-		listenAddr = "127.0.0.1:0"
+		check = func(base string) error {
+			return smokeCheck(base, []string{`"router"`, `"backend-0"`}, "pip_router_forwarded_total 1")
+		}
 	}
-	ln, err := net.Listen("tcp", listenAddr)
+	drain := func(context.Context) error { rt.Shutdown(); return nil }
+	banner := fmt.Sprintf("router over %d backends", len(backends))
+	if err := serveLoop(addr, banner, rt.Handler(), check, drain, drainTimeout, stdout); err != nil {
+		return err
+	}
+	if drainBackend != nil {
+		if err := drainBackend(); err != nil {
+			return fmt.Errorf("backend drain: %w", err)
+		}
+	}
+	fmt.Fprintln(stdout, "pipserve stopped")
+	return nil
+}
+
+// solverFlags are the solving-server flags -router rejects: the router
+// runs no solver, holds no solutions and writes no solve trace.
+var solverFlags = map[string]bool{
+	"trace": true, "trace-checkpoint": true, "pprof": true,
+	"config": true, "budget": true, "tight-budget": true, "mem-soft-limit": true,
+	"workers": true, "cache-entries": true, "concurrent": true, "queue": true,
+	"retries": true, "watchdog-factor": true, "no-breaker": true, "store": true,
+}
+
+// serveLoop is the run loop of both modes: listen on addr (an ephemeral
+// port when check is set), serve h, then run the smoke check or wait for
+// SIGINT/SIGTERM, and shut down — drain first, then the HTTP server,
+// both within drainTimeout.
+func serveLoop(addr, banner string, h http.Handler, check func(base string) error, drain func(context.Context) error, drainTimeout time.Duration, stdout io.Writer) error {
+	if check != nil {
+		addr = "127.0.0.1:0"
+	}
+	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: rt.Handler()}
+	httpSrv := &http.Server{Handler: h}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
-	fmt.Fprintf(stdout, "pipserve listening on %s (router over %d backends)\n", ln.Addr(), len(backends))
+	fmt.Fprintf(stdout, "pipserve listening on %s (%s)\n", ln.Addr(), banner)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if smoke {
-		if err := routerSmokeCheck("http://" + ln.Addr().String()); err != nil {
+	if check != nil {
+		if err := check("http://" + ln.Addr().String()); err != nil {
 			httpSrv.Close()
 			return fmt.Errorf("smoke: %w", err)
 		}
@@ -438,136 +448,28 @@ func runRouter(addr, backendList, backendsFile, flightDir string, drainTimeout t
 		}
 	}
 
-	rt.Shutdown()
 	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
+	if err := drain(dctx); err != nil {
+		return err
+	}
 	if err := httpSrv.Shutdown(dctx); err != nil {
 		return fmt.Errorf("http shutdown: %w", err)
 	}
 	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	if drainBackend != nil {
-		if err := drainBackend(); err != nil {
-			return fmt.Errorf("backend drain: %w", err)
-		}
-	}
-	fmt.Fprintln(stdout, "pipserve stopped")
 	return nil
 }
 
-// routerSmokeCheck exercises the router end to end: one forwarded solve
-// (exact, through the backend) under a caller-chosen trace ID, the
-// cluster-wide merged trace for that ID, /healthz, and the router's
-// Prometheus exposition.
-func routerSmokeCheck(base string) error {
-	body, err := json.Marshal(map[string]any{
-		"name":    "smoke.c",
-		"c":       "static int x;\nint *p = &x;\nextern void take(int**);\nvoid f() { take(&p); }\n",
-		"queries": []string{"p"},
-	})
-	if err != nil {
-		return err
-	}
-	const traceID = "smoke-router-trace"
-	req, err := http.NewRequest("POST", base+"/v1/solve", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Trace-Id", traceID)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("solve: status %d: %s", resp.StatusCode, b)
-	}
-	if got := resp.Header.Get("X-Trace-Id"); got != traceID {
-		return fmt.Errorf("solve: trace ID not echoed (got %q)", got)
-	}
-	var solved struct {
-		Degraded bool `json:"degraded"`
-		PointsTo map[string]struct {
-			Targets  []string `json:"targets"`
-			External bool     `json:"external"`
-		} `json:"points_to"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&solved); err != nil {
-		return fmt.Errorf("solve: %w", err)
-	}
-	pe, ok := solved.PointsTo["p"]
-	if !ok || solved.Degraded || !pe.External || len(pe.Targets) == 0 {
-		return fmt.Errorf("solve through router: unexpected answer %+v", solved)
-	}
-
-	// The merged cluster trace must validate and carry spans from both
-	// processes: the router's forward and the backend's solve.
-	r, err := http.Get(base + "/debug/trace?id=" + traceID)
-	if err != nil {
-		return err
-	}
-	traceBody, err := io.ReadAll(r.Body)
-	r.Body.Close()
-	if err != nil {
-		return err
-	}
-	if r.StatusCode != http.StatusOK {
-		return fmt.Errorf("/debug/trace: status %d: %s", r.StatusCode, traceBody)
-	}
-	if err := obs.CheckChrome(traceBody); err != nil {
-		return fmt.Errorf("/debug/trace: invalid merged trace: %w", err)
-	}
-	for _, proc := range []string{`"router"`, `"backend-0"`} {
-		if !bytes.Contains(traceBody, []byte(proc)) {
-			return fmt.Errorf("/debug/trace: merged trace missing process %s", proc)
-		}
-	}
-
-	r, err = http.Get(base + "/debug/flightrec")
-	if err != nil {
-		return err
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		return fmt.Errorf("/debug/flightrec: status %d", r.StatusCode)
-	}
-
-	r, err = http.Get(base + "/healthz")
-	if err != nil {
-		return err
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		return fmt.Errorf("/healthz: status %d", r.StatusCode)
-	}
-
-	r, err = http.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	text, err := io.ReadAll(r.Body)
-	r.Body.Close()
-	if err != nil {
-		return err
-	}
-	if err := obs.CheckExposition(string(text)); err != nil {
-		return fmt.Errorf("/metrics: invalid exposition: %w", err)
-	}
-	if !strings.Contains(string(text), "pip_router_forwarded_total 1") {
-		return fmt.Errorf("/metrics: forward not counted:\n%s", text)
-	}
-	return nil
-}
-
-// smokeCheck exercises the service end to end: one solve with a points-to
-// query (carrying a request ID, so a -trace run records a named lane),
-// the request's trace read back from /debug/trace?id= and
-// /debug/flightrec, then /healthz and the Prometheus /metrics
-// exposition.
-func smokeCheck(base string) error {
+// smokeCheck exercises either mode end to end: one solve with a
+// points-to query under a caller-chosen request and trace ID (so a
+// -trace run records a named lane), the request's trace read back from
+// /debug/trace?id= (naming each of procs, the processes a router's
+// merged trace must carry), /debug/flightrec, /healthz, and the
+// Prometheus /metrics exposition, which must contain every line of
+// metrics.
+func smokeCheck(base string, procs []string, metrics ...string) error {
 	body, err := json.Marshal(map[string]any{
 		"name":    "smoke.c",
 		"c":       "static int x;\nint *p = &x;\nextern void take(int**);\nvoid f() { take(&p); }\n",
@@ -613,62 +515,51 @@ func smokeCheck(base string) error {
 		return fmt.Errorf("solve: unexpected answer %+v", solved)
 	}
 
-	// The request's trace must be queryable back out as valid Chrome
-	// trace_event JSON, and the flight recorder endpoint must answer.
-	r, err := http.Get(base + "/debug/trace?id=smoke-trace-1")
+	traceBody, err := get(base + "/debug/trace?id=smoke-trace-1")
 	if err != nil {
 		return err
-	}
-	traceBody, err := io.ReadAll(r.Body)
-	r.Body.Close()
-	if err != nil {
-		return err
-	}
-	if r.StatusCode != http.StatusOK {
-		return fmt.Errorf("/debug/trace: status %d: %s", r.StatusCode, traceBody)
 	}
 	if err := obs.CheckChrome(traceBody); err != nil {
 		return fmt.Errorf("/debug/trace: invalid trace: %w", err)
 	}
-	r, err = http.Get(base + "/debug/flightrec")
+	for _, proc := range procs {
+		if !bytes.Contains(traceBody, []byte(proc)) {
+			return fmt.Errorf("/debug/trace: merged trace missing process %s", proc)
+		}
+	}
+	for _, path := range []string{"/debug/flightrec", "/healthz"} {
+		if _, err := get(base + path); err != nil {
+			return err
+		}
+	}
+	text, err := get(base + "/metrics")
 	if err != nil {
 		return err
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		return fmt.Errorf("/debug/flightrec: status %d", r.StatusCode)
-	}
-
-	r, err = http.Get(base + "/healthz")
-	if err != nil {
-		return err
-	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		return fmt.Errorf("/healthz: status %d", r.StatusCode)
-	}
-
-	// The default /metrics body must be valid Prometheus text exposition
-	// with the solve we just ran visible in the latency histogram.
-	r, err = http.Get(base + "/metrics")
-	if err != nil {
-		return err
-	}
-	text, err := io.ReadAll(r.Body)
-	r.Body.Close()
-	if err != nil {
-		return err
-	}
-	if r.StatusCode != http.StatusOK {
-		return fmt.Errorf("/metrics: status %d", r.StatusCode)
 	}
 	if err := obs.CheckExposition(string(text)); err != nil {
 		return fmt.Errorf("/metrics: invalid exposition: %w", err)
 	}
-	for _, want := range []string{"pip_solve_latency_seconds_count 1", "pip_requests_accepted_total 1"} {
+	for _, want := range metrics {
 		if !strings.Contains(string(text), want) {
 			return fmt.Errorf("/metrics: missing %q:\n%s", want, text)
 		}
 	}
 	return nil
+}
+
+// get fetches url and fails unless it answers 200.
+func get(url string) ([]byte, error) {
+	r, err := http.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Body.Close()
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		return nil, err
+	}
+	if r.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("%s: status %d: %s", url, r.StatusCode, body)
+	}
+	return body, nil
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -63,6 +64,18 @@ func TestBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-router"}, &out, &errOut); err == nil {
 		t.Fatal("-router without -backends accepted outside -smoke")
+	}
+	// Solving-server flags are refused in router mode rather than
+	// dropped; -smoke keeps each row from serving if one is accepted.
+	for _, extra := range [][]string{
+		{"-trace", filepath.Join(t.TempDir(), "x.json")},
+		{"-pprof"},
+		{"-budget", "10ms"},
+	} {
+		args := append([]string{"-router", "-smoke", "-quiet"}, extra...)
+		if err := run(args, &out, &errOut); err == nil {
+			t.Fatalf("%v accepted", args)
+		}
 	}
 	if err := run([]string{"-backends-file", "x"}, &out, &errOut); err == nil {
 		t.Fatal("-backends-file without -router accepted")

@@ -114,9 +114,10 @@ func badRequestf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{errBadRequest}, args...)...)
 }
 
-// decode reads a JSON body into v with the configured size bound.
-func (s *Server) decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, s.opts.MaxBodyBytes))
+// decode reads a JSON body into v, bounded by DefaultMaxBodyBytes and
+// strict about unknown fields.
+func decode(r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(nil, r.Body, DefaultMaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return badRequestf("invalid JSON body: %v", err)
@@ -125,10 +126,9 @@ func (s *Server) decode(r *http.Request, v any) error {
 }
 
 // requestConfig resolves the solver configuration: the body field, then
-// the ?config= query parameter, over the server default. The budget is
-// not folded in here (see analyze and handleResolve — they differ on it).
-func (s *Server) requestConfig(r *http.Request, req *moduleRequest) (pip.Config, bool, error) {
-	cfg := s.opts.Config
+// the ?config= query parameter, over cfg. The budget is not folded in
+// here (see analyze and handleResolve — they differ on it).
+func requestConfig(r *http.Request, req *moduleRequest, cfg pip.Config) (pip.Config, bool, error) {
 	named := false
 	if name := req.Config; name != "" {
 		c, err := pip.ParseConfig(name)
@@ -145,6 +145,22 @@ func (s *Server) requestConfig(r *http.Request, req *moduleRequest) (pip.Config,
 		cfg, named = c, true
 	}
 	return cfg, named, nil
+}
+
+// requestBudget parses each non-empty budget source in turn over b; the
+// last one wins.
+func requestBudget(b pip.Budget, srcs ...string) (pip.Budget, error) {
+	for _, src := range srcs {
+		if src == "" {
+			continue
+		}
+		parsed, err := pip.ParseBudget(src)
+		if err != nil {
+			return b, badRequestf("budget: %v", err)
+		}
+		b = parsed
+	}
+	return b, nil
 }
 
 // parseModule compiles or parses the request's module (exactly one of
@@ -190,22 +206,14 @@ func (s *Server) analyze(r *http.Request, req *moduleRequest) (pip.BatchResult, 
 	if err := faults.Inject(faults.ServeHandler); err != nil {
 		return pip.BatchResult{}, cfg, fmt.Errorf("handler fault: %w", err)
 	}
-	cfg, _, err := s.requestConfig(r, req)
+	cfg, _, err := requestConfig(r, req, cfg)
 	if err != nil {
 		return pip.BatchResult{}, cfg, err
 	}
 	q := r.URL.Query()
-
-	budget := s.opts.DefaultBudget
-	for _, src := range []string{req.Budget, q.Get("budget")} {
-		if src == "" {
-			continue
-		}
-		b, err := pip.ParseBudget(src)
-		if err != nil {
-			return pip.BatchResult{}, cfg, badRequestf("budget: %v", err)
-		}
-		budget = b
+	budget, err := requestBudget(s.opts.DefaultBudget, req.Budget, q.Get("budget"))
+	if err != nil {
+		return pip.BatchResult{}, cfg, err
 	}
 	ctx := r.Context()
 	if ts := q.Get("timeout"); ts != "" {
@@ -275,15 +283,26 @@ func (s *Server) analyze(r *http.Request, req *moduleRequest) (pip.BatchResult, 
 	return res, cfg, nil
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+// analyzer answers one decoded analysis request: the server's engine
+// pipeline (Server.analyze), or the router's local Ω answer when every
+// shard is down (Router.analyzeLocally).
+type analyzer func(r *http.Request, req *moduleRequest) (pip.BatchResult, pip.Config, error)
+
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) { s.answerSolve(w, r, s.analyze) }
+
+func (s *Server) handleAlias(w http.ResponseWriter, r *http.Request) { s.answerAlias(w, r, s.analyze) }
+
+// answerSolve decodes a /v1/solve request, runs analyze on it, and
+// renders the points-to answer.
+func (sh *shell) answerSolve(w http.ResponseWriter, r *http.Request, analyze analyzer) {
 	var req solveRequest
-	if err := s.decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+	if err := decode(r, &req); err != nil {
+		sh.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	res, cfg, err := s.analyze(r, &req.moduleRequest)
+	res, cfg, err := analyze(r, &req.moduleRequest)
 	if err != nil {
-		s.writeAnalyzeError(w, err)
+		sh.writeAnalyzeError(w, err)
 		return
 	}
 	if res.Degraded {
@@ -299,38 +318,25 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Escaped:    res.Result.ExternallyAccessible(),
 		Demand:     res.Demand,
 	}
-	if len(req.Queries) == 0 {
-		resp.Dump = res.Result.Dump()
-	} else {
-		resp.PointsTo = make(map[string]pointsToEntry, len(req.Queries))
-		for _, name := range req.Queries {
-			targets, external, err := res.Result.PointsTo(name)
-			if err != nil {
-				resp.PointsTo[name] = pointsToEntry{Error: err.Error()}
-				continue
-			}
-			if targets == nil {
-				targets = []string{}
-			}
-			resp.PointsTo[name] = pointsToEntry{Targets: targets, External: external}
-		}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	fillPointsTo(&resp.PointsTo, &resp.Dump, res.Result, req.Queries)
+	sh.writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleAlias(w http.ResponseWriter, r *http.Request) {
+// answerAlias decodes a /v1/alias request, runs analyze on it, and
+// renders one verdict per pair.
+func (sh *shell) answerAlias(w http.ResponseWriter, r *http.Request, analyze analyzer) {
 	var req aliasRequest
-	if err := s.decode(r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+	if err := decode(r, &req); err != nil {
+		sh.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	if len(req.Pairs) == 0 {
-		s.writeError(w, http.StatusBadRequest, `"pairs" missing or empty`)
+		sh.writeError(w, http.StatusBadRequest, `"pairs" missing or empty`)
 		return
 	}
-	res, cfg, err := s.analyze(r, &req.moduleRequest)
+	res, cfg, err := analyze(r, &req.moduleRequest)
 	if err != nil {
-		s.writeAnalyzeError(w, err)
+		sh.writeAnalyzeError(w, err)
 		return
 	}
 	if res.Degraded {
@@ -354,7 +360,28 @@ func (s *Server) handleAlias(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Answers = append(resp.Answers, ans)
 	}
-	s.writeJSON(w, http.StatusOK, resp)
+	sh.writeJSON(w, http.StatusOK, resp)
+}
+
+// fillPointsTo renders query answers (or the full dump) from a Result —
+// the shared tail of the solve/resolve response shapes.
+func fillPointsTo(pointsTo *map[string]pointsToEntry, dump *string, res *pip.Result, queries []string) {
+	if len(queries) == 0 {
+		*dump = res.Dump()
+		return
+	}
+	*pointsTo = make(map[string]pointsToEntry, len(queries))
+	for _, name := range queries {
+		targets, external, err := res.PointsTo(name)
+		if err != nil {
+			(*pointsTo)[name] = pointsToEntry{Error: err.Error()}
+			continue
+		}
+		if targets == nil {
+			targets = []string{}
+		}
+		(*pointsTo)[name] = pointsToEntry{Targets: targets, External: external}
+	}
 }
 
 // resolveRequest (re-)submits a version of a module to an incremental
@@ -395,7 +422,7 @@ type resolveResponse struct {
 // budgeted incremental analysis must be requested at session creation.
 func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 	var req resolveRequest
-	if err := s.decode(r, &req); err != nil {
+	if err := decode(r, &req); err != nil {
 		s.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -404,18 +431,13 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		s.writeAnalyzeError(w, fmt.Errorf("handler fault: %w", err))
 		return
 	}
-	cfg, named, err := s.requestConfig(r, &req.moduleRequest)
+	cfg, named, err := requestConfig(r, &req.moduleRequest, s.opts.Config)
+	if err == nil {
+		cfg.Budget, err = requestBudget(cfg.Budget, req.Budget)
+	}
 	if err != nil {
 		s.writeAnalyzeError(w, err)
 		return
-	}
-	if src := req.Budget; src != "" {
-		b, err := pip.ParseBudget(src)
-		if err != nil {
-			s.writeAnalyzeError(w, badRequestf("budget: %v", err))
-			return
-		}
-		cfg.Budget = b
 	}
 	m, err := parseModule(&req.moduleRequest)
 	if err != nil {
@@ -489,32 +511,8 @@ func (s *Server) handleResolve(w http.ResponseWriter, r *http.Request) {
 		DurationNS:  res.Duration.Nanoseconds(),
 		Escaped:     res.Result.ExternallyAccessible(),
 	}
-	if len(req.Queries) == 0 {
-		resp.Dump = res.Result.Dump()
-	} else {
-		resp.PointsTo = make(map[string]pointsToEntry, len(req.Queries))
-		for _, name := range req.Queries {
-			targets, external, err := res.Result.PointsTo(name)
-			if err != nil {
-				resp.PointsTo[name] = pointsToEntry{Error: err.Error()}
-				continue
-			}
-			if targets == nil {
-				targets = []string{}
-			}
-			resp.PointsTo[name] = pointsToEntry{Targets: targets, External: external}
-		}
-	}
+	fillPointsTo(&resp.PointsTo, &resp.Dump, res.Result, req.Queries)
 	s.writeJSON(w, http.StatusOK, resp)
-}
-
-// writeAnalyzeError maps pipeline errors to 400 (client fault) or 500.
-func (s *Server) writeAnalyzeError(w http.ResponseWriter, err error) {
-	if errors.Is(err, errBadRequest) {
-		s.writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.writeError(w, http.StatusInternalServerError, err.Error())
 }
 
 // healthzResponse is the /healthz body.
@@ -534,16 +532,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, status, resp)
 }
 
-// handleMetrics serves Prometheus text exposition format (0.0.4).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.writeProm(w)
-}
-
-// writeProm renders the full Prometheus exposition to w. Split out of
-// handleMetrics because the flight recorder embeds the same scrape in
-// every anomaly dump — a dump is "what did the server look like when
-// this happened", and the answer is the metrics page.
+// writeProm renders the full Prometheus exposition to w: GET /metrics,
+// and the scrape the flight recorder embeds in every anomaly dump — a
+// dump is "what did the server look like when this happened", and the
+// answer is the metrics page.
 func (s *Server) writeProm(w io.Writer) {
 	st := s.eng.Stats()
 	p := obs.NewPromWriter(w)
@@ -662,19 +654,8 @@ func (s *Server) writeProm(w io.Writer) {
 	p.Gauge("pip_engine_workers", "Configured engine pool bound.", float64(st.Workers))
 
 	// Distributed tracing and the anomaly flight recorder.
-	dropped := s.traceDropped.Load()
-	if s.opts.Trace != nil {
-		dropped += s.opts.Trace.Dropped()
-	}
-	p.Counter("pip_trace_dropped_total", "Trace records dropped by saturated trace rings (per-request traces plus the -trace file recorder).", float64(dropped))
-	tracesResident, tracesEvicted := s.traces.stats()
-	p.Gauge("pip_traces", "Distinct trace IDs resident for GET /debug/trace.", float64(tracesResident))
-	p.Counter("pip_trace_evictions_total", "Trace IDs evicted from the bounded trace index.", float64(tracesEvicted))
-	p.Counter("pip_flightrec_dumps_total", "Anomaly dumps taken by the flight recorder over the process lifetime.", float64(s.flight.DumpCount()))
-	p.Counter("pip_flightrec_suppressed_total", "Flight-recorder triggers swallowed by the per-reason cooldown.", float64(s.flight.Suppressed()))
-	if err := p.Err(); err != nil {
-		s.log.Error("write metrics", "err", err)
-	}
+	s.endProm(p, s.opts.Trace.Dropped(),
+		"Trace records dropped by saturated trace rings (per-request traces plus the -trace file recorder).")
 }
 
 func b2f(b bool) float64 {

@@ -52,7 +52,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/url"
 	"sort"
@@ -74,10 +73,6 @@ type RouterOptions struct {
 	// can change at runtime via AddBackend/DrainBackend/RemoveBackend,
 	// SetBackends, or POST /admin/backends.
 	Backends []string
-	// Replicas is the number of virtual nodes per backend on the hash
-	// ring; <= 0 means DefaultRouterReplicas. More replicas smooth the
-	// keyspace split at the cost of a larger ring.
-	Replicas int
 	// Breaker configures the per-backend circuit breaker (zero value:
 	// conservative defaults, like the Server's).
 	Breaker BreakerOptions
@@ -87,28 +82,16 @@ type RouterOptions struct {
 	// Hedge configures hedged forwards (zero value: enabled with
 	// conservative defaults; set Disabled to turn them off).
 	Hedge HedgeOptions
-	// Client performs the forwards; nil means a client with
-	// DefaultForwardTimeout.
-	Client *http.Client
-	// MaxBodyBytes bounds request bodies; <= 0 means DefaultMaxBodyBytes.
-	MaxBodyBytes int64
 	// LogWriter receives structured request logs; nil disables logging.
 	LogWriter io.Writer
-
-	// FlightRecords bounds the flight recorder's ring of recent completed
-	// request records; <= 0 means obs.DefaultFlightRecords.
-	FlightRecords int
-	// FlightDumps bounds retained anomaly dumps (served at
-	// GET /debug/flightrec); <= 0 means obs.DefaultFlightDumps.
-	FlightDumps int
 	// FlightDir, when non-empty, writes each anomaly dump to a
 	// timestamped JSON file under it.
 	FlightDir string
-	// OnFlightDump, when non-nil, runs after each anomaly dump.
-	OnFlightDump func(reason string)
 }
 
-// Defaults for the zero RouterOptions value.
+// Router constants: virtual nodes per backend on the hash ring (more
+// smooth the keyspace split at the cost of a larger ring) and the
+// timeout of one forward.
 const (
 	DefaultRouterReplicas = 64
 	DefaultForwardTimeout = 2 * time.Minute
@@ -160,10 +143,9 @@ type ringSnapshot struct {
 // Router is the sharding reverse proxy. Create with NewRouter, expose
 // via Handler, stop background work with Close.
 type Router struct {
+	shell
 	opts      RouterOptions
 	probeOpts ProbeOptions
-	log       *slog.Logger
-	mux       *http.ServeMux
 	client    *http.Client
 	hedge     *hedgePolicy
 
@@ -199,15 +181,6 @@ type Router struct {
 	drainsTotal  atomic.Int64
 	removesTotal atomic.Int64
 	reloadsTotal atomic.Int64
-
-	// traces indexes the router's own per-trace-ID recorders; GET
-	// /debug/trace merges them with the backends' spans for the same ID.
-	// flight is the router's anomaly flight recorder (per-backend breaker
-	// transitions, probe failures, membership changes, and local Ω
-	// degradations).
-	traces       *traceIndex
-	flight       *obs.FlightRecorder
-	traceDropped atomic.Uint64
 }
 
 // routerMaxHandles bounds the handle→backend pin table.
@@ -228,50 +201,20 @@ func NewRouter(opts RouterOptions) *Router {
 	if len(opts.Backends) == 0 {
 		panic("serve.NewRouter: no backends")
 	}
-	if opts.Replicas <= 0 {
-		opts.Replicas = DefaultRouterReplicas
-	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	rt := &Router{
 		opts:      opts,
 		probeOpts: opts.Probe.withDefaults(),
-		mux:       http.NewServeMux(),
-		client:    opts.Client,
+		client:    &http.Client{Timeout: DefaultForwardTimeout},
 		hedge:     newHedgePolicy(opts.Hedge),
 		handles:   make(map[string]*routerBackend),
 		probeStop: make(chan struct{}),
-		traces:    newTraceIndex(DefaultTraceIndexSize, DefaultTraceRecords),
 	}
-	if rt.client == nil {
-		rt.client = &http.Client{Timeout: DefaultForwardTimeout}
-	}
-	if opts.LogWriter != nil {
-		rt.log = slog.New(slog.NewJSONHandler(opts.LogWriter, nil))
-	} else {
-		rt.log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
-	}
-	// The flight recorder's dump embeds the router's own metrics scrape;
-	// writeProm reads breaker snapshots, so every trigger site (breaker
-	// notify below, prober, membership ops) fires after the owning mutex
-	// is released.
-	rt.flight = obs.NewFlightRecorder(obs.FlightRecorderOptions{
-		Records: opts.FlightRecords,
-		Dumps:   opts.FlightDumps,
-		Dir:     opts.FlightDir,
-		Metrics: func() string {
-			var b strings.Builder
-			rt.writeProm(&b)
-			return b.String()
-		},
-		OnDump: func(d *obs.Dump) {
-			rt.log.Info("flight recorder dump", "reason", d.Reason, "detail", d.Detail, "file", d.File)
-			if opts.OnFlightDump != nil {
-				opts.OnFlightDump(d.Reason)
-			}
-		},
-	})
+	// The router's own trace index is merged with the backends' spans by
+	// GET /debug/trace; its flight recorder sees per-backend breaker
+	// transitions, probe failures, membership changes, and local Ω
+	// degradations. Every trigger site fires after the owning mutex is
+	// released, since a dump scrapes writeProm.
+	rt.shell.init("pip-router", opts.LogWriter, opts.FlightDir, nil, rt.writeProm)
 	backends := make([]*routerBackend, 0, len(opts.Backends))
 	for _, u := range opts.Backends {
 		nu, err := normalizeBackendURL(u)
@@ -280,20 +223,15 @@ func NewRouter(opts RouterOptions) *Router {
 		}
 		backends = append(backends, rt.newBackend(nu))
 	}
-	rt.snap.Store(buildSnapshot(1, backends, opts.Replicas))
+	rt.snap.Store(buildSnapshot(1, backends))
 
-	analysis := func(h http.HandlerFunc) http.HandlerFunc {
-		return withRequestID(withTraceID(traced(rt.traces, rt.flight, &rt.traceDropped, "pip-router", h)))
-	}
-	rt.mux.HandleFunc("POST /v1/solve", analysis(rt.route))
-	rt.mux.HandleFunc("POST /v1/alias", analysis(rt.route))
-	rt.mux.HandleFunc("POST /v1/resolve", analysis(rt.route))
+	rt.mux.HandleFunc("POST /v1/solve", rt.traced(rt.route))
+	rt.mux.HandleFunc("POST /v1/alias", rt.traced(rt.route))
+	rt.mux.HandleFunc("POST /v1/resolve", rt.traced(rt.route))
 	rt.mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /metrics", rt.handleMetrics)
 	rt.mux.HandleFunc("POST /admin/backends", rt.handleAdminBackends)
 	rt.mux.HandleFunc("GET /debug/ring", rt.handleRing)
 	rt.mux.HandleFunc("GET /debug/trace", rt.handleTrace)
-	rt.mux.HandleFunc("GET /debug/flightrec", rt.handleFlightrec)
 	if !rt.probeOpts.Disabled {
 		go rt.proberLoop()
 	}
@@ -303,14 +241,7 @@ func NewRouter(opts RouterOptions) *Router {
 // newBackend wires one shard's breaker into the flight recorder.
 func (rt *Router) newBackend(u string) *routerBackend {
 	b := &routerBackend{url: u, breaker: newBreaker(rt.opts.Breaker)}
-	b.breaker.notify = func(from, to breakerState) {
-		switch to {
-		case breakerOpen:
-			rt.flight.Trigger(flightTriggerBreaker, "backend "+u+" "+from.String()+"->open")
-		case breakerHalfOpen:
-			rt.flight.Trigger(flightTriggerBreakerHalf, "backend "+u+" open->half-open")
-		}
-	}
+	rt.watchBreaker(b.breaker, "backend "+u)
 	return b
 }
 
@@ -332,7 +263,7 @@ func normalizeBackendURL(raw string) (string, error) {
 // resident set sorted by URL (so the same membership always yields the
 // same backend order and therefore the same ring, whatever sequence of
 // adds and removes produced it) and the hash ring over active backends.
-func buildSnapshot(gen uint64, backends []*routerBackend, replicas int) *ringSnapshot {
+func buildSnapshot(gen uint64, backends []*routerBackend) *ringSnapshot {
 	sort.Slice(backends, func(a, b int) bool { return backends[a].url < backends[b].url })
 	s := &ringSnapshot{gen: gen, backends: backends}
 	for i, b := range backends {
@@ -340,7 +271,7 @@ func buildSnapshot(gen uint64, backends []*routerBackend, replicas int) *ringSna
 			continue
 		}
 		s.live++
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < DefaultRouterReplicas; v++ {
 			h := fnv.New64a()
 			io.WriteString(h, b.url)
 			h.Write([]byte{'#', byte(v), byte(v >> 8)})
@@ -377,7 +308,7 @@ func (rt *Router) Close() {
 // must fire after the caller releases memberMu — the flight dump path
 // scrapes metrics).
 func (rt *Router) publishLocked(backends []*routerBackend) *ringSnapshot {
-	next := buildSnapshot(rt.snap.Load().gen+1, backends, rt.opts.Replicas)
+	next := buildSnapshot(rt.snap.Load().gen+1, backends)
 	rt.snap.Store(next)
 	return next
 }
@@ -553,11 +484,9 @@ func (rt *Router) purgePins(b *routerBackend) {
 // module content and configuration feed the hash, the handle pins
 // lineages. Unknown fields (queries, pairs, ...) pass through untouched.
 type routeProbe struct {
-	Name   string `json:"name"`
 	MIR    string `json:"mir"`
 	C      string `json:"c"`
 	Config string `json:"config"`
-	Budget string `json:"budget"`
 	Handle string `json:"handle"`
 }
 
@@ -619,19 +548,19 @@ func (s *ringSnapshot) candidates(key uint64, out []*routerBackend) []*routerBac
 func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 	if rt.draining.Load() {
 		w.Header().Set("Retry-After", retryAfterSeconds(time.Second))
-		writeRouterError(w, http.StatusServiceUnavailable, "router is shutting down")
+		rt.writeError(w, http.StatusServiceUnavailable, "router is shutting down")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, rt.opts.MaxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, DefaultMaxBodyBytes))
 	if err != nil {
 		rt.badRequests.Add(1)
-		writeRouterError(w, http.StatusBadRequest, "body: "+err.Error())
+		rt.writeError(w, http.StatusBadRequest, "body: "+err.Error())
 		return
 	}
 	var probe routeProbe
 	if err := json.Unmarshal(body, &probe); err != nil {
 		rt.badRequests.Add(1)
-		writeRouterError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+		rt.writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return
 	}
 
@@ -664,7 +593,7 @@ func (rt *Router) route(w http.ResponseWriter, r *http.Request) {
 
 	// Every shard is unreachable, shedding, or failing: answer locally
 	// with the sound Ω degradation rather than dropping the request.
-	rt.degradeLocally(w, r, body, &probe)
+	rt.degradeLocally(w, r, body)
 }
 
 // fwdOutcome is one attempt's result, produced on the attempt's own
@@ -809,7 +738,7 @@ func (rt *Router) attemptOne(ctx context.Context, r *http.Request, b *routerBack
 	if err != nil {
 		out.err = err
 	} else {
-		respBody, rerr := io.ReadAll(io.LimitReader(resp.Body, rt.opts.MaxBodyBytes))
+		respBody, rerr := io.ReadAll(io.LimitReader(resp.Body, DefaultMaxBodyBytes))
 		resp.Body.Close()
 		if rerr != nil {
 			out.err = rerr
@@ -890,98 +819,70 @@ func (rt *Router) pinHandle(respBody []byte, b *routerBackend) {
 // pointer points to external memory, everything escapes. Sound for any
 // program the backends would have analyzed, and infinitely better than
 // a drop — the client can distinguish it by the degraded flag and retry
-// for an exact answer later.
-func (rt *Router) degradeLocally(w http.ResponseWriter, r *http.Request, body []byte, probe *routeProbe) {
-	mreq := moduleRequest{Name: probe.Name, MIR: probe.MIR, C: probe.C}
-	m, err := parseModule(&mreq)
-	if err != nil {
+// for an exact answer later. The body goes through the server's own
+// decoding, validation and rendering, so it gets the status a live
+// backend would give it, and only a valid request counts as a local
+// degradation.
+func (rt *Router) degradeLocally(w http.ResponseWriter, r *http.Request, body []byte) {
+	r.Body = io.NopCloser(bytes.NewReader(body))
+	ow := outcomeOf(w)
+	switch r.URL.Path {
+	case "/v1/alias":
+		rt.answerAlias(ow, r, rt.analyzeLocally)
+	case "/v1/resolve":
+		rt.resolveLocally(ow, r)
+	default: // /v1/solve
+		rt.answerSolve(ow, r, rt.analyzeLocally)
+	}
+	if ow.status >= 400 {
 		rt.badRequests.Add(1)
-		writeRouterError(w, http.StatusBadRequest, err.Error())
-		return
 	}
-	cfgName := r.URL.Query().Get("config")
-	if cfgName == "" {
-		cfgName = probe.Config
+}
+
+// analyzeLocally is the all-shards-down analyzer: the server's checks of
+// the configuration, the body's budget and the module, then the Ω
+// solution instead of a solve. Query budgets, timeouts and ?ptr= roots
+// only narrow a solve, so they are not checked here.
+func (rt *Router) analyzeLocally(r *http.Request, req *moduleRequest) (pip.BatchResult, pip.Config, error) {
+	cfg, _, err := requestConfig(r, req, pip.DefaultConfig())
+	if err == nil {
+		_, err = requestBudget(pip.Budget{}, req.Budget)
 	}
-	cfg := pip.DefaultConfig()
-	if cfgName != "" {
-		c, err := pip.ParseConfig(cfgName)
-		if err != nil {
-			rt.badRequests.Add(1)
-			writeRouterError(w, http.StatusBadRequest, "config: "+err.Error())
-			return
-		}
-		cfg = c
+	var m *pip.Module
+	if err == nil {
+		m, err = parseModule(req)
 	}
-	res := pip.AnalyzeDegraded(m)
+	if err != nil {
+		return pip.BatchResult{}, cfg, err
+	}
 	rt.degradedLocal.Add(1)
-	// Mark the degradation on the tracing middleware's outcome writer so
-	// the flight recorder sees it, and leave an event on the trace lane.
-	markDegraded(w)
 	if tc := reqTraceFrom(r.Context()); tc != nil {
 		tc.lane.Event("degraded-local")
 	}
 	rt.log.Info("all backends down, served local degraded answer",
 		"path", r.URL.Path, "request_id", requestIDFrom(r.Context()))
-
-	switch r.URL.Path {
-	case "/v1/alias":
-		var req aliasRequest
-		if err := json.Unmarshal(body, &req); err != nil || len(req.Pairs) == 0 {
-			writeRouterError(w, http.StatusBadRequest, `"pairs" missing or empty`)
-			return
-		}
-		resp := aliasResponse{Name: probe.Name, Config: cfg.String(), Degraded: true,
-			Answers: make([]aliasAnswer, 0, len(req.Pairs))}
-		for _, pair := range req.Pairs {
-			ans := aliasAnswer{A: pair[0], B: pair[1]}
-			verdict, err := res.Alias(pair[0], pair[1], req.Size)
-			if err != nil {
-				ans.Error = err.Error()
-			} else {
-				ans.Result = verdict.String()
-			}
-			resp.Answers = append(resp.Answers, ans)
-		}
-		writeRouterJSON(w, http.StatusOK, resp)
-	case "/v1/resolve":
-		// No backend means no session state; answer soundly without a
-		// handle so the client restarts the lineage when shards return.
-		var req resolveRequest
-		_ = json.Unmarshal(body, &req)
-		resp := resolveResponse{Name: probe.Name, Config: cfg.String(), Degraded: true,
-			Escaped: res.ExternallyAccessible()}
-		fillPointsTo(&resp.PointsTo, &resp.Dump, res, req.Queries)
-		writeRouterJSON(w, http.StatusOK, resp)
-	default: // /v1/solve
-		var req solveRequest
-		_ = json.Unmarshal(body, &req)
-		resp := solveResponse{Name: probe.Name, Config: cfg.String(), Degraded: true,
-			Escaped: res.ExternallyAccessible()}
-		fillPointsTo(&resp.PointsTo, &resp.Dump, res, req.Queries)
-		writeRouterJSON(w, http.StatusOK, resp)
-	}
+	return pip.BatchResult{Result: pip.AnalyzeDegraded(m), Degraded: true}, cfg, nil
 }
 
-// fillPointsTo renders query answers (or the full dump) from a Result —
-// the shared tail of the solve/resolve response shapes.
-func fillPointsTo(pointsTo *map[string]pointsToEntry, dump *string, res *pip.Result, queries []string) {
-	if len(queries) == 0 {
-		*dump = res.Dump()
+// resolveLocally answers /v1/resolve with every shard down. No backend
+// means no session state, so the answer carries no handle and the
+// client restarts the lineage when shards return.
+func (rt *Router) resolveLocally(w http.ResponseWriter, r *http.Request) {
+	var req resolveRequest
+	if err := decode(r, &req); err != nil {
+		rt.writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	*pointsTo = make(map[string]pointsToEntry, len(queries))
-	for _, name := range queries {
-		targets, external, err := res.PointsTo(name)
-		if err != nil {
-			(*pointsTo)[name] = pointsToEntry{Error: err.Error()}
-			continue
-		}
-		if targets == nil {
-			targets = []string{}
-		}
-		(*pointsTo)[name] = pointsToEntry{Targets: targets, External: external}
+	res, cfg, err := rt.analyzeLocally(r, &req.moduleRequest)
+	if err != nil {
+		rt.writeAnalyzeError(w, err)
+		return
 	}
+	markDegraded(w)
+	resp := resolveResponse{Name: req.Name, Config: cfg.String(), Degraded: true,
+		Escaped: res.Result.ExternallyAccessible()}
+	fillPointsTo(&resp.PointsTo, &resp.Dump, res.Result, req.Queries)
+	rt.writeJSON(w, http.StatusOK, resp)
 }
 
 // --- admin & introspection ---
@@ -1000,12 +901,12 @@ type adminBackendsRequest struct {
 func (rt *Router) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 1<<16))
 	if err != nil {
-		writeRouterError(w, http.StatusBadRequest, "body: "+err.Error())
+		rt.writeError(w, http.StatusBadRequest, "body: "+err.Error())
 		return
 	}
 	var req adminBackendsRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		writeRouterError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+		rt.writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return
 	}
 	switch req.Op {
@@ -1016,7 +917,7 @@ func (rt *Router) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
 	case "remove":
 		err = rt.RemoveBackend(req.Backend)
 	default:
-		writeRouterError(w, http.StatusBadRequest, `"op" must be "add", "drain", or "remove"`)
+		rt.writeError(w, http.StatusBadRequest, `"op" must be "add", "drain", or "remove"`)
 		return
 	}
 	if err != nil {
@@ -1027,10 +928,10 @@ func (rt *Router) handleAdminBackends(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, errBackendUnknown):
 			status = http.StatusNotFound
 		}
-		writeRouterError(w, status, err.Error())
+		rt.writeError(w, status, err.Error())
 		return
 	}
-	writeRouterJSON(w, http.StatusOK, rt.ringDump())
+	rt.writeJSON(w, http.StatusOK, rt.ringDump())
 }
 
 // ringBackendInfo is one backend's row in the GET /debug/ring dump.
@@ -1056,7 +957,7 @@ type ringResponse struct {
 }
 
 func (rt *Router) handleRing(w http.ResponseWriter, r *http.Request) {
-	writeRouterJSON(w, http.StatusOK, rt.ringDump())
+	rt.writeJSON(w, http.StatusOK, rt.ringDump())
 }
 
 // ringDump renders the current snapshot's ownership: per-backend vnode
@@ -1130,7 +1031,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		resp.Status = "draining"
 		status = http.StatusServiceUnavailable
 	}
-	writeRouterJSON(w, status, resp)
+	rt.writeJSON(w, status, resp)
 }
 
 // handleTrace serves GET /debug/trace?id= on the router: the router's
@@ -1142,7 +1043,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 	id := sanitizeHeaderID(r.URL.Query().Get("id"))
 	if id == "" {
-		writeRouterError(w, http.StatusBadRequest, "missing or invalid ?id= trace ID")
+		rt.writeError(w, http.StatusBadRequest, "missing or invalid ?id= trace ID")
 		return
 	}
 	var parts []obs.TracePart
@@ -1163,12 +1064,12 @@ func (rt *Router) handleTrace(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(parts) == 0 {
-		writeRouterError(w, http.StatusNotFound, "unknown trace ID (evicted or never seen)")
+		rt.writeError(w, http.StatusNotFound, "unknown trace ID (evicted or never seen)")
 		return
 	}
 	merged, err := obs.MergeChrome(parts)
 	if err != nil {
-		writeRouterError(w, http.StatusInternalServerError, "merge: "+err.Error())
+		rt.writeError(w, http.StatusInternalServerError, "merge: "+err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -1192,28 +1093,11 @@ func (rt *Router) fetchBackendTrace(r *http.Request, b *routerBackend, id string
 		io.Copy(io.Discard, resp.Body)
 		return nil, nil
 	}
-	return io.ReadAll(io.LimitReader(resp.Body, rt.opts.MaxBodyBytes))
+	return io.ReadAll(io.LimitReader(resp.Body, DefaultMaxBodyBytes))
 }
 
-// handleFlightrec serves GET /debug/flightrec: the router's retained
-// anomaly dumps (breaker transitions, probe failures, membership
-// changes, local Ω degradations).
-func (rt *Router) handleFlightrec(w http.ResponseWriter, r *http.Request) {
-	writeRouterJSON(w, http.StatusOK, flightrecResponse{
-		Dumps:      rt.flight.Dumps(),
-		DumpsTotal: rt.flight.DumpCount(),
-		Suppressed: rt.flight.Suppressed(),
-		Recorded:   rt.flight.Recorded(),
-	})
-}
-
-func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	rt.writeProm(w)
-}
-
-// writeProm renders the router's Prometheus exposition; split out so the
-// flight recorder can embed the same scrape in anomaly dumps.
+// writeProm renders the router's Prometheus exposition: GET /metrics and
+// the scrape every flight dump embeds.
 func (rt *Router) writeProm(w io.Writer) {
 	snap := rt.snap.Load()
 	p := obs.NewPromWriter(w)
@@ -1266,23 +1150,5 @@ func (rt *Router) writeProm(w io.Writer) {
 	p.Gauge("pip_router_hedge_budget_tokens", "Hedge retry-budget tokens currently available.", rt.hedge.level())
 
 	// Distributed tracing and the anomaly flight recorder.
-	p.Counter("pip_trace_dropped_total", "Trace records dropped by saturated per-trace rings.", float64(rt.traceDropped.Load()))
-	tracesResident, tracesEvicted := rt.traces.stats()
-	p.Gauge("pip_traces", "Distinct trace IDs resident for GET /debug/trace.", float64(tracesResident))
-	p.Counter("pip_trace_evictions_total", "Trace IDs evicted from the bounded trace index.", float64(tracesEvicted))
-	p.Counter("pip_flightrec_dumps_total", "Anomaly dumps taken by the flight recorder over the process lifetime.", float64(rt.flight.DumpCount()))
-	p.Counter("pip_flightrec_suppressed_total", "Flight-recorder triggers swallowed by the per-reason cooldown.", float64(rt.flight.Suppressed()))
-	if err := p.Err(); err != nil {
-		rt.log.Error("write metrics", "err", err)
-	}
-}
-
-func writeRouterJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeRouterError(w http.ResponseWriter, status int, msg string) {
-	writeRouterJSON(w, status, errorResponse{Error: msg})
+	rt.endProm(p, 0, "Trace records dropped by saturated per-trace rings.")
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -221,6 +222,70 @@ func TestRouterDegradesLocallyWhenAllShardsDown(t *testing.T) {
 		moduleRequest: moduleRequest{Name: "t.c", C: "not a module @@@"},
 	}, nil); code != http.StatusBadRequest {
 		t.Fatalf("bad module returned %d, want 400", code)
+	}
+}
+
+// TestRouterAllDownAnswersLikeServer: with every shard down the router
+// gives each body the status a live server gives it. Every 200 is a
+// degraded local Ω answer; every 4xx counts as a bad request and
+// neither counts as a local degradation nor fires a flight dump.
+func TestRouterAllDownAnswersLikeServer(t *testing.T) {
+	live := httptest.NewServer(New(Options{}).Handler())
+	defer live.Close()
+	rt, ts, _, backends := newCluster(t, 1, RouterOptions{Probe: ProbeOptions{Disabled: true}})
+	if err := rt.RemoveBackend(backends[0].URL); err != nil {
+		t.Fatal(err)
+	}
+	post := func(base, path, body string) (int, bool) {
+		t.Helper()
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out struct {
+			Degraded bool `json:"degraded"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, out.Degraded
+	}
+
+	src, _ := json.Marshal(solveSrc)
+	for _, path := range []string{"/v1/solve", "/v1/alias", "/v1/resolve"} {
+		ask := `"queries": ["p"]`
+		if path == "/v1/alias" {
+			ask = `"pairs": [["p", "p"]]`
+		}
+		for _, tc := range []struct{ name, body string }{
+			{"valid", fmt.Sprintf(`{"c": %s, %s}`, src, ask)},
+			{"no pairs", fmt.Sprintf(`{"c": %s}`, src)},
+			{"unknown field", fmt.Sprintf(`{"c": %s, %s, "querys": ["p"]}`, src, ask)},
+			{"bad module", fmt.Sprintf(`{"c": "not a module @@@", %s}`, ask)},
+			{"bad config", fmt.Sprintf(`{"c": %s, "config": "BOGUS", %s}`, src, ask)},
+		} {
+			want, _ := post(live.URL, path, tc.body)
+			local, bad := rt.degradedLocal.Load(), rt.badRequests.Load()
+			dumps, suppressed := rt.flight.DumpCount(), rt.flight.Suppressed()
+			code, degraded := post(ts.URL, path, tc.body)
+			if code != want {
+				t.Fatalf("%s %s: all-down router answered %d, live server %d", path, tc.name, code, want)
+			}
+			if code == http.StatusOK {
+				if !degraded || rt.degradedLocal.Load() != local+1 || rt.badRequests.Load() != bad {
+					t.Fatalf("%s %s: 200 not counted as one local Ω answer (degraded=%v)", path, tc.name, degraded)
+				}
+				continue
+			}
+			if rt.degradedLocal.Load() != local || rt.badRequests.Load() != bad+1 {
+				t.Fatalf("%s %s: %d counted as degradedLocal %d->%d, badRequests %d->%d", path, tc.name,
+					code, local, rt.degradedLocal.Load(), bad, rt.badRequests.Load())
+			}
+			if rt.flight.DumpCount() != dumps || rt.flight.Suppressed() != suppressed {
+				t.Fatalf("%s %s: %d fired a flight dump", path, tc.name, code)
+			}
+		}
 	}
 }
 

@@ -29,6 +29,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -80,9 +81,6 @@ type Options struct {
 	// Zero means unbudgeted (not recommended for exposed servers).
 	DefaultBudget pip.Budget
 
-	// MaxBodyBytes bounds request bodies; <= 0 means DefaultMaxBodyBytes.
-	MaxBodyBytes int64
-
 	// LogWriter receives structured (JSON) request logs; nil disables
 	// request logging.
 	LogWriter io.Writer
@@ -118,12 +116,6 @@ type Options struct {
 	// TightBudget is the budget applied under memory pressure.
 	TightBudget pip.Budget
 
-	// FlightRecords bounds the flight recorder's ring of recent completed
-	// request records; <= 0 means obs.DefaultFlightRecords.
-	FlightRecords int
-	// FlightDumps bounds retained anomaly dumps (served at
-	// GET /debug/flightrec); <= 0 means obs.DefaultFlightDumps.
-	FlightDumps int
 	// FlightDir, when non-empty, writes each anomaly dump to a
 	// timestamped JSON file under it. Empty keeps dumps in memory only.
 	FlightDir string
@@ -133,7 +125,8 @@ type Options struct {
 	OnFlightDump func(reason string)
 }
 
-// Defaults for the zero Options value.
+// Defaults for the zero Options value. Request bodies are bounded by
+// DefaultMaxBodyBytes on the server and the router alike.
 const (
 	DefaultCacheEntries  = 1024
 	DefaultMaxConcurrent = 8
@@ -145,10 +138,9 @@ const (
 // Server is the analysis service. Create with New, expose via Handler,
 // stop with Shutdown.
 type Server struct {
+	shell
 	opts Options
 	eng  *pip.Engine
-	log  *slog.Logger
-	mux  *http.ServeMux
 
 	// queueSlots bounds admitted-but-not-yet-running requests, runSlots
 	// bounds concurrent solves. Admission takes a queue slot without
@@ -207,14 +199,6 @@ type Server struct {
 	// pip_faults_injected_total metric, fed by the faults observer.
 	faultMu     sync.Mutex
 	faultCounts map[[2]string]int64
-
-	// traces indexes per-trace-ID recorders for GET /debug/trace; flight
-	// is the anomaly flight recorder behind GET /debug/flightrec.
-	// traceDropped accumulates spans dropped by saturated per-trace
-	// rings (pip_trace_dropped_total).
-	traces       *traceIndex
-	flight       *obs.FlightRecorder
-	traceDropped atomic.Uint64
 }
 
 // New returns a server around a fresh shared engine.
@@ -231,9 +215,6 @@ func New(opts Options) *Server {
 	if opts.MaxQueue <= 0 {
 		opts.MaxQueue = DefaultMaxQueue
 	}
-	if opts.MaxBodyBytes <= 0 {
-		opts.MaxBodyBytes = DefaultMaxBodyBytes
-	}
 	if opts.MaxSessions <= 0 {
 		opts.MaxSessions = DefaultMaxSessions
 	}
@@ -241,14 +222,12 @@ func New(opts Options) *Server {
 		opts:         opts,
 		queueSlots:   make(chan struct{}, opts.MaxQueue+opts.MaxConcurrent),
 		runSlots:     make(chan struct{}, opts.MaxConcurrent),
-		mux:          http.NewServeMux(),
 		queueWait:    obs.NewHistogram(obs.LatencyBuckets()...),
 		solveLatency: obs.NewHistogram(obs.LatencyBuckets()...),
 		sessions:     newSessionStore(opts.MaxSessions),
 		incrReusedC:  obs.NewHistogram(10, 100, 1e3, 1e4, 1e5, 1e6),
 		breaker:      newBreaker(opts.Breaker),
 		faultCounts:  map[[2]string]int64{},
-		traces:       newTraceIndex(DefaultTraceIndexSize, DefaultTraceRecords),
 	}
 	s.incrFallbackBy = make(map[string]*atomic.Int64, len(incr.FallbackLabels))
 	for _, label := range incr.FallbackLabels {
@@ -256,25 +235,9 @@ func New(opts Options) *Server {
 	}
 	// The flight recorder and the engine's anomaly hook reference each
 	// other through s, so both are wired after the struct exists and
-	// before any traffic. The metrics scrape and breaker notify run
-	// outside their owners' locks (see obs.FlightRecorder and breaker),
-	// so a dump can safely read engine stats and breaker snapshots.
-	s.flight = obs.NewFlightRecorder(obs.FlightRecorderOptions{
-		Records: opts.FlightRecords,
-		Dumps:   opts.FlightDumps,
-		Dir:     opts.FlightDir,
-		Metrics: func() string {
-			var b strings.Builder
-			s.writeProm(&b)
-			return b.String()
-		},
-		OnDump: func(d *obs.Dump) {
-			s.log.Info("flight recorder dump", "reason", d.Reason, "detail", d.Detail, "file", d.File)
-			if opts.OnFlightDump != nil {
-				opts.OnFlightDump(d.Reason)
-			}
-		},
-	})
+	// before any traffic.
+	s.shell.init("pipserve", opts.LogWriter, opts.FlightDir, opts.OnFlightDump, s.writeProm)
+	s.counted = s.countStatus
 	s.eng = pip.NewEngine(pip.BatchOptions{
 		Workers:        opts.Workers,
 		Cache:          true,
@@ -287,19 +250,7 @@ func New(opts Options) *Server {
 			s.flight.Trigger(reason, detail)
 		},
 	})
-	s.breaker.notify = func(from, to breakerState) {
-		switch to {
-		case breakerOpen:
-			s.flight.Trigger(flightTriggerBreaker, "server breaker "+from.String()+"->open")
-		case breakerHalfOpen:
-			s.flight.Trigger(flightTriggerBreakerHalf, "server breaker open->half-open")
-		}
-	}
-	if opts.LogWriter != nil {
-		s.log = slog.New(slog.NewJSONHandler(opts.LogWriter, nil))
-	} else {
-		s.log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
-	}
+	s.watchBreaker(s.breaker, "server breaker")
 	// Count injected faults by (point, kind) for /metrics. The observer is
 	// process-global like the fault registry itself; the most recently
 	// created server owns it, which is the one under chaos in practice.
@@ -309,15 +260,13 @@ func New(opts Options) *Server {
 		s.faultMu.Unlock()
 	})
 	analysis := func(h http.HandlerFunc) http.HandlerFunc {
-		return s.requestID(withTraceID(s.traced(s.logged(s.breakered(s.recovered(s.admitted(h)))))))
+		return s.traced(s.logged(s.breakered(s.recovered(s.admitted(h)))))
 	}
 	s.mux.HandleFunc("POST /v1/solve", analysis(s.handleSolve))
 	s.mux.HandleFunc("POST /v1/alias", analysis(s.handleAlias))
 	s.mux.HandleFunc("POST /v1/resolve", analysis(s.handleResolve))
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/trace", s.handleTrace)
-	s.mux.HandleFunc("GET /debug/flightrec", s.handleFlightrec)
 	if opts.EnablePprof {
 		// net/http/pprof registers on DefaultServeMux at import; route the
 		// same handlers explicitly so they exist only when enabled.
@@ -333,7 +282,7 @@ func New(opts Options) *Server {
 // requestIDKey carries the request's ID through its context.
 type requestIDKey struct{}
 
-// requestID accepts a caller-supplied X-Request-Id (so the analysis
+// withRequestID accepts a caller-supplied X-Request-Id (so the analysis
 // service slots into a tracing mesh) or generates one, echoes it on the
 // response, and stores it in the request context for logging and trace
 // attachment. Caller-supplied IDs are dropped when unprintable or
@@ -341,20 +290,14 @@ type requestIDKey struct{}
 // the shard router, which threads the same ID to every backend attempt.
 func withRequestID(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.Header.Get("X-Request-Id")
-		if id == "" || len(id) > 128 || strings.ContainsFunc(id, func(c rune) bool {
-			return c < 0x20 || c > 0x7e
-		}) {
+		id := sanitizeHeaderID(r.Header.Get(requestIDHeader))
+		if id == "" {
 			id = obs.NewID()
 		}
-		w.Header().Set("X-Request-Id", id)
+		w.Header().Set(requestIDHeader, id)
 		ctx := context.WithValue(r.Context(), requestIDKey{}, id)
 		h(w, r.WithContext(ctx))
 	}
-}
-
-func (s *Server) requestID(h http.HandlerFunc) http.HandlerFunc {
-	return withRequestID(h)
 }
 
 // requestIDFrom returns the request's ID, or "" outside the middleware.
@@ -413,27 +356,16 @@ func (s *Server) CloseStore() error { return s.eng.CloseStore() }
 // Draining reports whether Shutdown has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// statusWriter captures the response status for request logging.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
 // logged wraps a handler with structured request logging.
 func (s *Server) logged(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
-		h(sw, r)
+		ow := outcomeOf(w)
+		h(ow, r)
 		s.log.Info("request",
 			"method", r.Method,
 			"path", r.URL.Path,
-			"status", sw.status,
+			"status", ow.status,
 			"duration_ms", float64(time.Since(start).Microseconds())/1000,
 			"remote", r.RemoteAddr,
 			"request_id", requestIDFrom(r.Context()),
@@ -441,10 +373,13 @@ func (s *Server) logged(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// outcomeWriter extends statusWriter with the one outcome bit the status
-// code cannot carry: whether the solve came back Ω-degraded. The breaker
-// treats both 5xx and degradation as "bad" — a window full of either
-// means the server is not producing exact answers anymore.
+// outcomeWriter records what the middleware needs to know about a
+// response: its status and the one outcome bit the status code cannot
+// carry, whether the solve came back Ω-degraded. The tracing middleware
+// installs one per request (feeding the flight recorder and the degraded
+// trigger); the logging and breaker middleware read the same one. The
+// breaker treats both 5xx and degradation as "bad" — a window full of
+// either means the server is not producing exact answers anymore.
 type outcomeWriter struct {
 	http.ResponseWriter
 	status   int
@@ -456,23 +391,20 @@ func (w *outcomeWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
-// markDegraded records a degradation on every outcome writer wrapping the
-// request. Two middlewares each hold one: the breaker (feeding its
-// bad-outcome window) and the tracing middleware (feeding the flight
-// recorder and the degraded trigger), with the logging statusWriter in
-// between — so this walks the whole wrapper chain. Outside the middleware
-// stack it is a no-op.
+// outcomeOf returns the request's outcome writer: w itself inside the
+// tracing middleware, a fresh wrapper outside it.
+func outcomeOf(w http.ResponseWriter) *outcomeWriter {
+	if ow, ok := w.(*outcomeWriter); ok {
+		return ow
+	}
+	return &outcomeWriter{ResponseWriter: w, status: http.StatusOK}
+}
+
+// markDegraded records a degradation on the request's outcome writer.
+// Outside the middleware stack it is a no-op.
 func markDegraded(w http.ResponseWriter) {
-	for w != nil {
-		switch t := w.(type) {
-		case *outcomeWriter:
-			t.degraded = true
-			w = t.ResponseWriter
-		case *statusWriter:
-			w = t.ResponseWriter
-		default:
-			return
-		}
+	if ow, ok := w.(*outcomeWriter); ok {
+		ow.degraded = true
 	}
 }
 
@@ -503,7 +435,7 @@ func (s *Server) breakered(h http.HandlerFunc) http.HandlerFunc {
 			s.writeError(w, http.StatusServiceUnavailable, "circuit breaker open: server is shedding load")
 			return
 		}
-		ow := &outcomeWriter{ResponseWriter: w, status: http.StatusOK}
+		ow := outcomeOf(w)
 		h(ow, r)
 		s.breaker.record(ow.status >= 500 || ow.degraded)
 	}
@@ -596,14 +528,129 @@ func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// writeJSON writes v with the given status; encoding failures turn into a
-// plain 500 (v is built from marshalable fields, so this is defensive).
-func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+// shell is the HTTP surface the solving server and the shard router
+// share: the mux, structured logging, the trace index behind GET
+// /debug/trace, the anomaly flight recorder behind GET /debug/flightrec,
+// GET /metrics, and the JSON response writers. Each owner embeds one and
+// wires it with init before any traffic.
+type shell struct {
+	label string // process name in trace metadata
+	mux   *http.ServeMux
+	log   *slog.Logger
+
+	// traces indexes per-trace-ID recorders for GET /debug/trace; flight
+	// is the anomaly flight recorder behind GET /debug/flightrec.
+	// traceDropped accumulates spans dropped by saturated per-trace
+	// rings (pip_trace_dropped_total).
+	traces       *traceIndex
+	flight       *obs.FlightRecorder
+	traceDropped atomic.Uint64
+
+	// metrics renders the owner's full Prometheus exposition, for GET
+	// /metrics and for every flight dump.
+	metrics func(io.Writer)
+	// counted, when set, sees the status of every JSON response (the
+	// server's request counters; the router counts at its own sites).
+	counted func(status int)
+}
+
+// init wires the shell. A flight dump embeds the owner's metrics scrape,
+// so every trigger must fire outside the locks that scrape takes (see
+// obs.FlightRecorder and breaker). onDump, when set, runs after each dump.
+func (sh *shell) init(label string, logTo io.Writer, flightDir string, onDump func(reason string), metrics func(io.Writer)) {
+	sh.label = label
+	sh.mux = http.NewServeMux()
+	if logTo != nil {
+		sh.log = slog.New(slog.NewJSONHandler(logTo, nil))
+	} else {
+		sh.log = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(127)}))
+	}
+	sh.traces = newTraceIndex(DefaultTraceIndexSize, DefaultTraceRecords)
+	sh.metrics = metrics
+	sh.flight = obs.NewFlightRecorder(obs.FlightRecorderOptions{
+		Dir: flightDir,
+		Metrics: func() string {
+			var b strings.Builder
+			metrics(&b)
+			return b.String()
+		},
+		OnDump: func(d *obs.Dump) {
+			sh.log.Info("flight recorder dump", "reason", d.Reason, "detail", d.Detail, "file", d.File)
+			if onDump != nil {
+				onDump(d.Reason)
+			}
+		},
+	})
+	sh.mux.HandleFunc("GET /metrics", sh.handleMetrics)
+	sh.mux.HandleFunc("GET /debug/flightrec", sh.handleFlightrec)
+}
+
+// watchBreaker dumps the flight recorder when b opens or half-opens;
+// who names the breaker in the dump detail.
+func (sh *shell) watchBreaker(b *breaker, who string) {
+	b.notify = func(from, to breakerState) {
+		switch to {
+		case breakerOpen:
+			sh.flight.Trigger(flightTriggerBreaker, who+" "+from.String()+"->open")
+		case breakerHalfOpen:
+			sh.flight.Trigger(flightTriggerBreakerHalf, who+" open->half-open")
+		}
+	}
+}
+
+// handleMetrics serves Prometheus text exposition format (0.0.4).
+func (sh *shell) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	sh.metrics(w)
+}
+
+// endProm closes an owner's exposition with the tracing and flight-
+// recorder families, then logs any write error. fileDropped adds drops
+// from a -trace file recorder; droppedHelp says what the counter sums.
+func (sh *shell) endProm(p *obs.PromWriter, fileDropped uint64, droppedHelp string) {
+	p.Counter("pip_trace_dropped_total", droppedHelp, float64(sh.traceDropped.Load()+fileDropped))
+	tracesResident, tracesEvicted := sh.traces.stats()
+	p.Gauge("pip_traces", "Distinct trace IDs resident for GET /debug/trace.", float64(tracesResident))
+	p.Counter("pip_trace_evictions_total", "Trace IDs evicted from the bounded trace index.", float64(tracesEvicted))
+	p.Counter("pip_flightrec_dumps_total", "Anomaly dumps taken by the flight recorder over the process lifetime.", float64(sh.flight.DumpCount()))
+	p.Counter("pip_flightrec_suppressed_total", "Flight-recorder triggers swallowed by the per-reason cooldown.", float64(sh.flight.Suppressed()))
+	if err := p.Err(); err != nil {
+		sh.log.Error("write metrics", "err", err)
+	}
+}
+
+// writeJSON writes v with the given status; encoding failures are logged
+// (v is built from marshalable fields, so this is defensive).
+func (sh *shell) writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
-		s.log.Error("encode response", "err", err)
+		sh.log.Error("encode response", "err", err)
 	}
+	if sh.counted != nil {
+		sh.counted(status)
+	}
+}
+
+type errorResponse struct {
+	Error string `json:"error"`
+}
+
+func (sh *shell) writeError(w http.ResponseWriter, status int, msg string) {
+	sh.writeJSON(w, status, errorResponse{Error: msg})
+}
+
+// writeAnalyzeError maps pipeline errors to 400 (client fault) or 500.
+func (sh *shell) writeAnalyzeError(w http.ResponseWriter, err error) {
+	if errors.Is(err, errBadRequest) {
+		sh.writeError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	sh.writeError(w, http.StatusInternalServerError, err.Error())
+}
+
+// countStatus feeds the server's request counters from every response.
+func (s *Server) countStatus(status int) {
 	switch {
 	case status == http.StatusTooManyRequests:
 		// counted at the admission site
@@ -612,12 +659,4 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 	case status >= 400:
 		s.badRequests.Add(1)
 	}
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
-	s.writeJSON(w, status, errorResponse{Error: msg})
 }

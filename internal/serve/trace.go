@@ -15,7 +15,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/pip-analysis/pip/internal/obs"
@@ -40,9 +39,9 @@ const (
 	flightTriggerProbeFail   = "probe.fail"
 )
 
-// sanitizeHeaderID validates a caller-supplied identifier header the way
-// withRequestID always has: printable ASCII, bounded length. Returns ""
-// when the value must be replaced.
+// sanitizeHeaderID validates a caller-supplied identifier header
+// (request ID, trace ID, span parent): printable ASCII, bounded length.
+// Returns "" when the value must be replaced.
 func sanitizeHeaderID(id string) string {
 	if id == "" || len(id) > 128 || strings.ContainsFunc(id, func(c rune) bool {
 		return c < 0x20 || c > 0x7e
@@ -157,17 +156,17 @@ func reqTraceFrom(ctx context.Context) *reqTrace {
 	return rt
 }
 
-// traced builds the per-request tracing + flight-recorder middleware
-// shared by the server and the router. It must sit inside
-// requestID/withTraceID (it reads both IDs) and outside admission and
-// forwarding (their spans record on the lane it opens). label names the
-// process in trace metadata ("pipserve", "pip-router").
-func traced(traces *traceIndex, flight *obs.FlightRecorder, dropped *atomic.Uint64, label string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+// traced builds the per-request front of every analysis endpoint of
+// both the server and the router: request ID, trace ID, then the
+// request's trace lane and its one outcome writer, which feeds the
+// flight recorder. Admission and forwarding run inside it, so their
+// spans record on the lane it opens.
+func (sh *shell) traced(h http.HandlerFunc) http.HandlerFunc {
+	return withRequestID(withTraceID(func(w http.ResponseWriter, r *http.Request) {
 		ctx := r.Context()
 		traceID := traceIDFrom(ctx)
 		reqID := requestIDFrom(ctx)
-		tr := traces.obtain(traceID, label)
+		tr := sh.traces.obtain(traceID, sh.label)
 		lane := tr.NewTrack("req-" + reqID)
 		rt := &reqTrace{tr: tr, lane: lane}
 		spanArgs := []obs.KV{obs.S("request_id", reqID)}
@@ -186,9 +185,9 @@ func traced(traces *traceIndex, flight *obs.FlightRecorder, dropped *atomic.Uint
 		// visible. The delta is approximate under concurrent requests on
 		// one trace ID — the counter's job is "nonzero means look".
 		if d := tr.Dropped() - droppedBefore; d > 0 {
-			dropped.Add(d)
+			sh.traceDropped.Add(d)
 		}
-		flight.Record(obs.ReqRecord{
+		sh.flight.Record(obs.ReqRecord{
 			TraceID:    traceID,
 			RequestID:  reqID,
 			Path:       r.URL.Path,
@@ -200,14 +199,9 @@ func traced(traces *traceIndex, flight *obs.FlightRecorder, dropped *atomic.Uint
 			Spans:      lane.Export(),
 		})
 		if ow.degraded {
-			flight.Trigger(flightTriggerDegraded, r.URL.Path)
+			sh.flight.Trigger(flightTriggerDegraded, r.URL.Path)
 		}
-	}
-}
-
-// traced is the Server's instance of the shared tracing middleware.
-func (s *Server) traced(h http.HandlerFunc) http.HandlerFunc {
-	return traced(s.traces, s.flight, &s.traceDropped, "pipserve", h)
+	}))
 }
 
 // handleTrace serves GET /debug/trace?id=<trace-id>: the process's spans
@@ -241,12 +235,14 @@ type flightrecResponse struct {
 	Recorded uint64 `json:"recorded"`
 }
 
-// handleFlightrec serves GET /debug/flightrec: the last N anomaly dumps.
-func (s *Server) handleFlightrec(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, http.StatusOK, flightrecResponse{
-		Dumps:      s.flight.Dumps(),
-		DumpsTotal: s.flight.DumpCount(),
-		Suppressed: s.flight.Suppressed(),
-		Recorded:   s.flight.Recorded(),
+// handleFlightrec serves GET /debug/flightrec: the last N anomaly dumps
+// (on the router: per-backend breaker transitions, probe failures,
+// membership changes, and local Ω degradations as well).
+func (sh *shell) handleFlightrec(w http.ResponseWriter, r *http.Request) {
+	sh.writeJSON(w, http.StatusOK, flightrecResponse{
+		Dumps:      sh.flight.Dumps(),
+		DumpsTotal: sh.flight.DumpCount(),
+		Suppressed: sh.flight.Suppressed(),
+		Recorded:   sh.flight.Recorded(),
 	})
 }

@@ -217,20 +217,47 @@ func TestTraceIndexEviction(t *testing.T) {
 	}
 }
 
-// TestMarkDegradedWalksWriterChain: both the breaker's and the tracing
-// middleware's outcome writers must see a degradation, with the logging
-// statusWriter sandwiched between them.
-func TestMarkDegradedWalksWriterChain(t *testing.T) {
-	rec := httptest.NewRecorder()
-	outer := &outcomeWriter{ResponseWriter: rec, status: http.StatusOK}
-	mid := &statusWriter{ResponseWriter: outer, status: http.StatusOK}
-	inner := &outcomeWriter{ResponseWriter: mid, status: http.StatusOK}
-	markDegraded(inner)
-	if !inner.degraded || !outer.degraded {
-		t.Fatalf("markDegraded reached inner=%v outer=%v, want both true", inner.degraded, outer.degraded)
+// TestDegradedSolvesOpenBreaker: Ω-degraded answers through the
+// server's full middleware stack are bad outcomes to the breaker — a
+// window of them opens it although every one was a 200 — and the
+// solve.degraded dump names the request that degraded.
+func TestDegradedSolvesOpenBreaker(t *testing.T) {
+	s := New(Options{Breaker: fastBreaker()})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// A negative firing cap permits no firings: every solve degrades.
+	body := solveRequest{moduleRequest: moduleRequest{Name: "t.c", C: solveSrc, Budget: "-1f"}}
+	for i := 0; i < 4; i++ {
+		if _, code := postTraced(t, ts, fmt.Sprintf("degraded-%d", i), body); code != http.StatusOK {
+			t.Fatalf("degraded solve %d: got %d, want 200", i, code)
+		}
 	}
-	// Plain writers stay a no-op.
-	markDegraded(rec)
+	if got := s.degraded.Load(); got != 4 {
+		t.Fatalf("degraded solves = %d, want 4", got)
+	}
+	if st, _ := s.breaker.snapshot(); st != breakerOpen {
+		t.Fatalf("breaker %v after 4 degraded solves, want open", st)
+	}
+	if _, code := postTraced(t, ts, "", body); code != http.StatusServiceUnavailable {
+		t.Fatalf("open breaker answered %d, want 503", code)
+	}
+
+	var fr flightrecResponse
+	getJSON(t, ts, "/debug/flightrec", &fr)
+	var reasons []string
+	for _, d := range fr.Dumps {
+		reasons = append(reasons, d.Reason)
+		if d.Reason != flightTriggerDegraded {
+			continue
+		}
+		for _, r := range d.Records {
+			if r.TraceID == "degraded-0" && r.Degraded && r.Status == http.StatusOK {
+				return
+			}
+		}
+	}
+	t.Fatalf("no solve.degraded dump names request degraded-0 (dumps: %v)", reasons)
 }
 
 // TestDegradedSolveTriggersFlightDump: an Ω-degraded response fires the
