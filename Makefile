@@ -26,10 +26,11 @@ bench-smoke:
 	$(GO) run ./cmd/pipbench -scale 0.04 -sizescale 0.12 -reps 1 -run smoke
 
 # One iteration of every micro-benchmark of the request path's layers
-# (MIR parse, print and hash; C compile), so they keep compiling and
-# running. For timings, raise -benchtime.
+# (MIR parse, print and hash; C compile; a cached /v1/solve answered by
+# its raw text or after a parse), so they keep compiling and running.
+# For timings, raise -benchtime.
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/ir ./internal/engine ./internal/cfront
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/ir ./internal/engine ./internal/cfront ./internal/serve
 
 # Machine-readable solver-effort snapshot (per-configuration solve wall,
 # rule firings, worklist peak); CI archives the same shape as

@@ -8,7 +8,7 @@
 //	         [-concurrent N] [-queue N] [-workers N] [-store DIR]
 //	pipserve -router -backends URL,URL,...   (shard router mode)
 //	pipserve -router -backends-file FILE     (router with SIGHUP-reloaded membership)
-//	pipserve -smoke        (ephemeral port, one end-to-end request, exit)
+//	pipserve -smoke        (ephemeral port, end-to-end requests, exit)
 //
 // Endpoints:
 //
@@ -61,6 +61,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -108,7 +109,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	checkTrace := fs.String("check-trace", "",
 		"validate FILE as Chrome trace_event JSON (as written by -trace or /debug/trace) and exit")
 	smoke := fs.Bool("smoke", false,
-		"self-test: listen on an ephemeral port, run one end-to-end request, drain, exit")
+		"self-test: listen on an ephemeral port, run end-to-end requests, drain, exit")
 	retries := fs.Int("retries", 2,
 		"re-solves of transiently failed jobs (recovered panics, injected faults); 0 disables retry")
 	watchdogFactor := fs.Int("watchdog-factor", 4,
@@ -261,7 +262,10 @@ func run(args []string, stdout, stderr io.Writer) error {
 	var check func(base string) error
 	if *smoke {
 		check = func(base string) error {
-			return smokeCheck(base, nil, "pip_solve_latency_seconds_count 1", "pip_requests_accepted_total 1")
+			if err := smokeCheck(base, nil, "pip_solve_latency_seconds_count 1", "pip_requests_accepted_total 1"); err != nil {
+				return err
+			}
+			return smokeRawHits(base)
 		}
 	}
 	drain := func(ctx context.Context) error {
@@ -472,7 +476,7 @@ func serveLoop(addr, banner string, h http.Handler, check func(base string) erro
 func smokeCheck(base string, procs []string, metrics ...string) error {
 	body, err := json.Marshal(map[string]any{
 		"name":    "smoke.c",
-		"c":       "static int x;\nint *p = &x;\nextern void take(int**);\nvoid f() { take(&p); }\n",
+		"c":       smokeSrc,
 		"queries": []string{"p"},
 	})
 	if err != nil {
@@ -545,6 +549,54 @@ func smokeCheck(base string, procs []string, metrics ...string) error {
 		}
 	}
 	return nil
+}
+
+const smokeSrc = "static int x;\nint *p = &x;\nextern void take(int**);\nvoid f() { take(&p); }\n"
+
+// smokeRawHits posts the smoke module as MIR three times: the first
+// request solves it, the repeats are answered by their raw text alone.
+// The two repeats must get byte-identical bodies, and /metrics must
+// count the raw hits.
+func smokeRawHits(base string) error {
+	m, err := pip.CompileC("smoke.c", smokeSrc)
+	if err != nil {
+		return err
+	}
+	body, err := json.Marshal(map[string]any{"name": "smoke.mir", "mir": pip.PrintIR(m), "queries": []string{"p"}})
+	if err != nil {
+		return err
+	}
+	var answers [3][]byte
+	for i := range answers {
+		resp, err := http.Post(base+"/v1/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return err
+		}
+		answers[i], err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return err
+		}
+		if resp.StatusCode != http.StatusOK {
+			return fmt.Errorf("MIR solve %d: status %d: %s", i+1, resp.StatusCode, answers[i])
+		}
+	}
+	if !bytes.Equal(answers[1], answers[2]) {
+		return fmt.Errorf("MIR solve: repeated answers differ:\n%s\n%s", answers[1], answers[2])
+	}
+	text, err := get(base + "/metrics")
+	if err != nil {
+		return err
+	}
+	for _, line := range strings.Split(string(text), "\n") {
+		if v, ok := strings.CutPrefix(line, "pip_cache_raw_hits_total "); ok {
+			if n, err := strconv.ParseFloat(v, 64); err != nil || n < 1 {
+				return fmt.Errorf("/metrics: pip_cache_raw_hits_total %s, want >= 1", v)
+			}
+			return nil
+		}
+	}
+	return errors.New("/metrics: missing pip_cache_raw_hits_total")
 }
 
 // get fetches url and fails unless it answers 200.

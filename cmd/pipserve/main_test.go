@@ -278,19 +278,19 @@ func TestRouterBackendsFileSIGHUPReload(t *testing.T) {
 	if err := syscall.Kill(os.Getpid(), syscall.SIGHUP); err != nil {
 		t.Fatal(err)
 	}
+	// The ring is published before the reload banner is printed, so
+	// poll for both.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if n, g := ring(); n == 2 && g >= 2 {
+		n, g := ring()
+		banner := strings.Contains(out.String(), "backends-file reloaded: +1 -0")
+		if n == 2 && g >= 2 && banner {
 			break
 		}
 		if time.Now().After(deadline) {
-			n, g := ring()
-			t.Fatalf("SIGHUP reload never applied: %d backends at generation %d\n%s", n, g, out.String())
+			t.Fatalf("SIGHUP reload never applied: %d backends at generation %d, banner %v\n%s", n, g, banner, out.String())
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-	if !strings.Contains(out.String(), "backends-file reloaded: +1 -0") {
-		t.Fatalf("reload banner missing:\n%s", out.String())
 	}
 
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {

@@ -11,12 +11,12 @@ import (
 // *used* entry goes first, and get refreshes recency.
 func TestSolutionCacheLRU(t *testing.T) {
 	c := newSolutionCache(2)
-	c.put("a", cached{})
-	c.put("b", cached{})
+	c.put("a", cached{}, rawKey{})
+	c.put("b", cached{}, rawKey{})
 	if _, ok := c.get("a"); !ok { // refresh a: b is now LRU
 		t.Fatal("a missing")
 	}
-	c.put("c", cached{}) // evicts b
+	c.put("c", cached{}, rawKey{}) // evicts b
 	if _, ok := c.get("b"); ok {
 		t.Fatal("b survived past the cap")
 	}
@@ -30,9 +30,34 @@ func TestSolutionCacheLRU(t *testing.T) {
 		t.Fatalf("len=%d evictions=%d, want 2/1", c.len(), c.evictions)
 	}
 	// Re-putting an existing key refreshes, never evicts.
-	c.put("c", cached{})
+	c.put("c", cached{}, rawKey{})
 	if c.len() != 2 || c.evictions != 1 {
 		t.Fatalf("re-put changed occupancy: len=%d evictions=%d", c.len(), c.evictions)
+	}
+}
+
+// TestRawIndexBoundedByEntries: an entry keeps at most maxRawPerEntry
+// raw keys (a new one replaces the oldest), and eviction and drop take
+// an entry's raw keys with it.
+func TestRawIndexBoundedByEntries(t *testing.T) {
+	c := newSolutionCache(2)
+	rk := func(i byte) rawKey { return rawKey{i} }
+	c.put("a", cached{}, rk(1))
+	for i := byte(2); i <= maxRawPerEntry+1; i++ {
+		c.index(rk(i), "a")
+	}
+	if _, _, ok := c.getRaw(rk(1)); ok || len(c.raw) != maxRawPerEntry {
+		t.Fatalf("oldest raw key kept (%v) or index holds %d keys, want %d", ok, len(c.raw), maxRawPerEntry)
+	}
+	c.index(rk(9), "never-put")
+	c.put("b", cached{}, rk(10))
+	c.put("c", cached{}, rawKey{}) // evicts a
+	if len(c.raw) != 1 {
+		t.Fatalf("index holds %d keys after evicting a, want b's one", len(c.raw))
+	}
+	c.drop("b")
+	if len(c.raw) != 0 {
+		t.Fatalf("index holds %d keys after dropping b", len(c.raw))
 	}
 }
 

@@ -24,11 +24,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"github.com/pip-analysis/pip/internal/core"
 	"github.com/pip-analysis/pip/internal/core/incr"
@@ -98,9 +100,10 @@ type Options struct {
 }
 
 // Job is one unit of work: solve one problem under one configuration.
-// Either Gen (a pre-generated constraint problem) or Module must be set;
-// when only Module is set, constraint generation runs inside the job (and
-// inside its panic-recovery boundary).
+// Either Gen (a pre-generated constraint problem) or Module must be set,
+// except for RunText jobs, whose module arrives as MIR text; when only
+// Module is set, constraint generation runs inside the job (and inside
+// its panic-recovery boundary).
 type Job struct {
 	// Key overrides the cache key. Empty means: derive it from the
 	// module's content hash and the configuration (requires Module).
@@ -155,6 +158,10 @@ type Result struct {
 	// hits are also CacheHits, and the loaded solution is promoted into
 	// the in-memory tier.
 	DiskHit bool
+	// RawHit reports that a RunText job was answered through the memory
+	// tier's raw-text index, without parsing its text. Raw hits are also
+	// CacheHits.
+	RawHit bool
 	// Incremental describes which incremental path a RunIncremental call
 	// took (reuse, resume, or fallback) and how much it reused; nil for
 	// ordinary jobs.
@@ -171,7 +178,10 @@ type Result struct {
 type Stats struct {
 	Jobs      int `json:"jobs"`
 	CacheHits int `json:"cache_hits"`
-	Failures  int `json:"failures"`
+	// RawHits counts the cache hits answered through the raw-text index
+	// (RunText jobs that skipped parsing).
+	RawHits  int `json:"raw_hits"`
+	Failures int `json:"failures"`
 	// Degraded counts jobs whose solve exhausted its budget and returned
 	// the Ω-degraded solution.
 	Degraded int `json:"degraded"`
@@ -250,6 +260,7 @@ func (st Stats) JSON() string {
 func (st *Stats) Merge(u Stats) {
 	st.Jobs += u.Jobs
 	st.CacheHits += u.CacheHits
+	st.RawHits += u.RawHits
 	st.Failures += u.Failures
 	st.Degraded += u.Degraded
 	st.CacheEntries += u.CacheEntries
@@ -307,6 +318,10 @@ type Engine struct {
 	// runtime.ReadMemStats (unix nanos of the last sample).
 	memOver       atomic.Bool
 	lastMemSample atomic.Int64
+
+	// flushHold, when set (tests only), runs between an eviction and the
+	// store write-behind of the evicted entries.
+	flushHold func()
 }
 
 // New returns an engine with the given options.
@@ -422,6 +437,22 @@ func CacheKey(moduleHash string, cfg core.Config) string {
 	return moduleHash + "|" + cfg.String()
 }
 
+// rawKeyOf is the raw-text index key of a RunText job: the SHA-256 of
+// its effective configuration string and its MIR text as received. Two
+// texts that print to the same module get different raw keys but share
+// the canonical CacheKey they resolve to.
+func rawKeyOf(text string, cfg core.Config) rawKey {
+	h := sha256.New()
+	io.WriteString(h, cfg.String())
+	h.Write([]byte{0})
+	// The hash only reads the text; viewing it in place spares a copy of
+	// the whole module.
+	h.Write(unsafe.Slice(unsafe.StringData(text), len(text)))
+	var rk rawKey
+	h.Sum(rk[:0])
+	return rk
+}
+
 // Run executes all jobs across the worker pool and returns their results
 // in submission order: out[i] is jobs[i]'s result regardless of scheduling
 // or submission shuffling by the caller.
@@ -463,7 +494,7 @@ func (e *Engine) Run(jobs []Job) []Result {
 					obs.N("index", int64(i)),
 					obs.N("queue_wait_us", time.Since(submitted).Microseconds()))
 				e.noteStart()
-				out[i] = e.runJob(jobs[i], e.jobTrack(jobs[i], wtk), ar)
+				out[i] = e.runJob(jobs[i], "", e.jobTrack(jobs[i], wtk), ar)
 				e.noteDone(out[i])
 				sp.End(
 					obs.N("cache_hit", b2i(out[i].CacheHit)),
@@ -478,18 +509,41 @@ func (e *Engine) Run(jobs []Job) []Result {
 // RunOne executes a single job synchronously (still inside the recovery
 // boundary and the cache). With engine tracing on, the job span lands on
 // a shared "inline" track (RunOne has no pool queue, so queue wait is 0).
-func (e *Engine) RunOne(j Job) Result {
+func (e *Engine) RunOne(j Job) Result { return e.runOne(j, "") }
+
+// RunText is RunOne for a job whose module arrives as MIR text (j.Module
+// and j.Gen unset). A text the memory tier has answered before under the
+// same effective configuration is answered from its raw-text index
+// without parsing (Result.RawHit); otherwise the text is parsed and the
+// job runs as RunOne would, and the entry that answers it is indexed
+// under the text. A text that does not parse is returned as err: it is
+// the caller's error, not a failed job, and is never indexed.
+func (e *Engine) RunText(text string, j Job) (Result, error) {
+	res := e.runOne(j, text)
+	var pe *parseError
+	if errors.As(res.Err, &pe) {
+		return Result{}, pe.err
+	}
+	return res, nil
+}
+
+func (e *Engine) runOne(j Job, text string) Result {
 	var wtk obs.Track
 	if e.opts.Trace != nil {
 		wtk = e.opts.Trace.NewTrack("inline")
 	}
 	sp := wtk.Begin("job", obs.N("queue_wait_us", 0))
 	e.noteStart()
-	res := e.runJob(j, e.jobTrack(j, wtk), nil)
+	res := e.runJob(j, text, e.jobTrack(j, wtk), nil)
 	e.noteDone(res)
 	sp.End(obs.N("cache_hit", b2i(res.CacheHit)), obs.N("degraded", b2i(res.Degraded)))
 	return res
 }
+
+// parseError is a RunText text that failed to parse.
+type parseError struct{ err error }
+
+func (p *parseError) Error() string { return p.err.Error() }
 
 // jobTrack picks the lane for a job's solve spans: the job's own
 // request-scoped lane when set, else the worker's track.
@@ -528,9 +582,18 @@ func (e *Engine) noteDone(res Result) {
 		// and a lone RunOne contributes its span too.
 		e.stats.Wall += time.Since(e.busyStart)
 	}
+	var pe *parseError
+	if errors.As(res.Err, &pe) {
+		// An unparsable text never became a job.
+		e.mu.Unlock()
+		return
+	}
 	e.stats.Jobs++
 	if res.CacheHit {
 		e.stats.CacheHits++
+	}
+	if res.RawHit {
+		e.stats.RawHits++
 	}
 	if res.Err != nil {
 		e.stats.Failures++
@@ -553,30 +616,54 @@ func (e *Engine) noteDone(res Result) {
 	e.mu.Unlock()
 }
 
-func (e *Engine) store(key string, c cached) {
+// store inserts c under key into the memory tier, indexing raw-text key
+// rk (when non-zero) under it, and flushes what the insert evicted.
+func (e *Engine) store(key string, c cached, rk rawKey) {
 	e.mu.Lock()
-	evicted := e.cache.put(key, c)
+	evicted := e.cache.put(key, c, rk)
 	ds := e.dstore
+	if ds != nil {
+		// Until its Save lands, an evicted entry stays visible to acquire
+		// through the flushing set: a lookup in the gap must not miss both
+		// tiers and re-solve.
+		for _, ent := range evicted {
+			if flushable(ent.val) {
+				e.cache.flushing[ent.key] = ent.val
+			}
+		}
+	}
 	e.mu.Unlock()
 	// Lazy write-behind: entries pushed out of the memory tier are flushed
 	// to the persistent store (outside the engine mutex) rather than lost,
 	// so the disk tier accumulates the full history of the working set.
-	if ds == nil {
+	if ds == nil || len(evicted) == 0 {
 		return
+	}
+	if e.flushHold != nil {
+		e.flushHold()
 	}
 	before := ds.Stats().Saves
 	for _, ent := range evicted {
-		if ent.val.sol == nil || ent.val.sol.Degraded {
-			continue
+		if flushable(ent.val) {
+			_ = ds.Save(ent.key, ent.val.sol) // a failed flush only costs warmth
 		}
-		_ = ds.Save(ent.key, ent.val.sol) // a failed flush only costs warmth
 	}
-	if flushed := ds.Stats().Saves - before; flushed > 0 {
-		e.mu.Lock()
-		e.stats.StoreFlushed += int64(flushed)
-		e.mu.Unlock()
+	flushed := ds.Stats().Saves - before
+	e.mu.Lock()
+	for _, ent := range evicted {
+		// A re-evicted copy of the same solution may still be in flight
+		// from another flusher; this Save has already landed it.
+		if f, ok := e.cache.flushing[ent.key]; ok && f.sol == ent.val.sol {
+			delete(e.cache.flushing, ent.key)
+		}
 	}
+	e.stats.StoreFlushed += int64(flushed)
+	e.mu.Unlock()
 }
+
+// flushable reports whether an evicted entry belongs on disk: degraded
+// solutions never do.
+func flushable(c cached) bool { return c.sol != nil && !c.sol.Degraded }
 
 // anomaly reports an anomaly to the Options.OnAnomaly hook, if any.
 // Callers must not hold e.mu: the hook may read Stats.
@@ -586,14 +673,34 @@ func (e *Engine) anomaly(reason, detail string) {
 	}
 }
 
+// lookupRaw resolves a raw-text key against the memory tier. It never
+// takes a reservation: a miss (or an entry that fails verification)
+// sends the caller on to parse and acquire the canonical key.
+func (e *Engine) lookupRaw(rk rawKey) (cached, bool) {
+	e.mu.Lock()
+	key, c, ok := e.cache.getRaw(rk)
+	if !ok {
+		e.mu.Unlock()
+		return cached{}, false
+	}
+	if e.verifyEntry(key, c) {
+		e.mu.Unlock()
+		return c, true
+	}
+	e.mu.Unlock()
+	e.anomaly("engine.cache_corrupt", key)
+	return cached{}, false
+}
+
 // acquire resolves key against the cache with request coalescing. It
 // either returns a verified cache hit (rsv == nil), or makes the caller
 // the leader for key (hit == false): the caller must solve and then
 // release rsv exactly once, success or not. A caller that finds another
 // leader in flight waits for it; a shared exact solution comes back as a
 // coalesced hit, while a failed or degraded leader sends waiters back
-// around the loop to solve for themselves.
-func (e *Engine) acquire(key string) (c cached, hit bool, coalesced bool, rsv *reservation) {
+// around the loop to solve for themselves. A hit indexes raw-text key rk
+// (when non-zero) under key, if key is resident.
+func (e *Engine) acquire(key string, rk rawKey) (c cached, hit bool, coalesced bool, rsv *reservation) {
 	// A verify-on-read failure is detected under e.mu; the anomaly hook
 	// must run outside it (it may read Stats), so flag it and fire on the
 	// way out — whichever branch returns.
@@ -607,12 +714,17 @@ func (e *Engine) acquire(key string) (c cached, hit bool, coalesced bool, rsv *r
 		e.mu.Lock()
 		if c, ok := e.cache.get(key); ok {
 			if e.verifyEntry(key, c) {
+				e.cache.index(rk, key)
 				e.mu.Unlock()
 				return c, true, coalesced, nil
 			}
 			// Entry failed content-hash verification: verifyEntry dropped
 			// it; fall through and solve as if it had never been cached.
 			corrupt = true
+		} else if c, ok := e.cache.flushing[key]; ok && intact(c) {
+			// Evicted, and its write-behind has not landed yet.
+			e.mu.Unlock()
+			return c, true, coalesced, nil
 		}
 		r, inFlight := e.cache.reserved[key]
 		if !inFlight {
@@ -626,6 +738,7 @@ func (e *Engine) acquire(key string) (c cached, hit bool, coalesced bool, rsv *r
 		if r.ok {
 			e.mu.Lock()
 			e.stats.Coalesced++
+			e.cache.index(rk, key)
 			e.mu.Unlock()
 			return r.c, true, true, nil
 		}
@@ -639,15 +752,18 @@ func (e *Engine) acquire(key string) (c cached, hit bool, coalesced bool, rsv *r
 // entry no longer matches the solution it was stored with — it is
 // dropped and counted, and the caller re-solves. Called under e.mu.
 func (e *Engine) verifyEntry(key string, c cached) bool {
-	if c.fp == 0 || faults.Active() == nil {
-		return true
-	}
-	if fingerprintHash(c.sol) == c.fp {
+	if intact(c) {
 		return true
 	}
 	e.cache.drop(key)
 	e.stats.CacheCorrupt++
 	return false
+}
+
+// intact reports whether an entry still matches the content hash it was
+// stored with (always true when no hash was recorded).
+func intact(c cached) bool {
+	return c.fp == 0 || faults.Active() == nil || fingerprintHash(c.sol) == c.fp
 }
 
 // release ends the caller's leadership of key: the reservation is
@@ -669,15 +785,15 @@ func (e *Engine) release(key string, rsv *reservation) {
 // times with exponential backoff and jitter. Structural failures and
 // degraded results return immediately — a degraded result is a success
 // carrying the sound Ω-degradation, and retrying it would just spend
-// the budget again.
-func (e *Engine) runJob(j Job, tk obs.Track, ar *core.Arena) Result {
-	res := e.attemptJob(j, tk, ar)
+// the budget again. text is a RunText job's MIR text, else "".
+func (e *Engine) runJob(j Job, text string, tk obs.Track, ar *core.Arena) Result {
+	res := e.attemptJob(j, text, tk, ar)
 	for n := 1; res.Err != nil && n <= e.opts.Retry.Max && retryable(res.Err); n++ {
 		e.mu.Lock()
 		e.stats.Retries++
 		e.mu.Unlock()
 		time.Sleep(e.opts.Retry.backoff(n))
-		res = e.attemptJob(j, tk, ar)
+		res = e.attemptJob(j, text, tk, ar)
 		res.Retries = n
 		if res.Err == nil {
 			e.mu.Lock()
@@ -692,13 +808,19 @@ func (e *Engine) runJob(j Job, tk obs.Track, ar *core.Arena) Result {
 // constraint generation, the solver, cache-key hashing, or an injected
 // fault — is converted into a Result.Err so one bad file cannot take
 // down a batch run (and so the retry layer can classify it).
-func (e *Engine) attemptJob(j Job, tk obs.Track, ar *core.Arena) (res Result) {
+//
+// A RunText job (text != "") takes the same steps, with the raw-text
+// index consulted before parsing: the dispatch fault, the memory guard
+// and the default budget shape the one effective configuration both
+// keys derive from, and the lookup fault fires once and governs both
+// lookups.
+func (e *Engine) attemptJob(j Job, text string, tk obs.Track, ar *core.Arena) (res Result) {
 	defer func() {
 		if r := recover(); r != nil {
 			res = Result{Err: &panicError{val: r, stack: debug.Stack()}}
 		}
 	}()
-	if j.Gen == nil && j.Module == nil {
+	if j.Gen == nil && j.Module == nil && text == "" {
 		return Result{Err: errors.New("engine: job has neither Module nor Gen")}
 	}
 	// Chaos hook: dispatch faults stand for everything that can go wrong
@@ -748,25 +870,37 @@ func (e *Engine) attemptJob(j Job, tk obs.Track, ar *core.Arena) (res Result) {
 		return Result{Gen: gen, Sol: sol, Degraded: sol.Degraded, Duration: sol.Stats.Duration, DemandStats: ds}
 	}
 	key := j.Key
+	var rk rawKey
 	var rsv *reservation
-	if e.cache != nil {
-		if key == "" && j.Module != nil {
-			key = CacheKey(ModuleHash(j.Module), j.Config)
+	// Chaos hook: a lookup fault means the cache answered with garbage or
+	// not at all; the job solves as if it had missed (skipping the raw
+	// index and the reservation too — a broken cache must not serialize
+	// solves behind it).
+	look := e.cache != nil && (key != "" || j.Module != nil || text != "") &&
+		faults.Inject(faults.EngineCacheLook) == nil
+	if look && text != "" {
+		rk = rawKeyOf(text, j.Config)
+		if c, ok := e.lookupRaw(rk); ok {
+			return Result{Gen: c.gen, Sol: c.sol, CacheHit: true, RawHit: true}
 		}
-		if key != "" {
-			// Chaos hook: a lookup fault means the cache answered with
-			// garbage or not at all; the job solves as if it had missed
-			// (skipping the reservation too — a broken cache must not
-			// serialize solves behind it).
-			if err := faults.Inject(faults.EngineCacheLook); err == nil {
-				c, hit, coalesced, r := e.acquire(key)
-				if hit {
-					return Result{Gen: c.gen, Sol: c.sol, CacheHit: true, Coalesced: coalesced}
-				}
-				rsv = r
-				defer e.release(key, rsv)
-			}
+	}
+	if j.Module == nil && j.Gen == nil {
+		m, err := ir.Parse(text)
+		if err != nil {
+			return Result{Err: &parseError{err}}
 		}
+		j.Module = m
+	}
+	if e.cache != nil && key == "" && j.Module != nil {
+		key = CacheKey(ModuleHash(j.Module), j.Config)
+	}
+	if look {
+		c, hit, coalesced, r := e.acquire(key, rk)
+		if hit {
+			return Result{Gen: c.gen, Sol: c.sol, CacheHit: true, Coalesced: coalesced}
+		}
+		rsv = r
+		defer e.release(key, rsv)
 	}
 	gen := j.Gen
 	if gen == nil {
@@ -786,7 +920,7 @@ func (e *Engine) attemptJob(j Job, tk obs.Track, ar *core.Arena) (res Result) {
 			if faults.Active() != nil {
 				ent.fp = fingerprintHash(sol)
 			}
-			e.store(key, ent)
+			e.store(key, ent, rk)
 			rsv.c = ent
 			rsv.ok = true
 			e.mu.Lock()
@@ -842,7 +976,7 @@ func (e *Engine) attemptJob(j Job, tk obs.Track, ar *core.Arena) (res Result) {
 						ent.fp ^= 0x9e3779b97f4a7c15
 					}
 				}
-				e.store(key, ent)
+				e.store(key, ent, rk)
 			}
 		}
 		if rsv != nil {

@@ -195,7 +195,10 @@ func parseModule(req *moduleRequest) (*pip.Module, error) {
 // compile or parse the module, and solve it on the shared engine. One or
 // more ?ptr= query parameters switch the solve to demand-driven mode:
 // only the constraint slice reachable from the named root pointers is
-// solved, and every other variable soundly answers Ω.
+// solved, and every other variable soundly answers Ω. An exhaustive MIR
+// request hands its text to the engine unparsed (pip.Engine.AnalyzeIR):
+// a text the memory tier has answered before is answered without
+// parsing, and on a miss the parse runs inside the solve span.
 func (s *Server) analyze(r *http.Request, req *moduleRequest) (pip.BatchResult, pip.Config, error) {
 	cfg := s.opts.Config
 	// Chaos hook: a handler fault fails the request after admission — the
@@ -230,9 +233,12 @@ func (s *Server) analyze(r *http.Request, req *moduleRequest) (pip.BatchResult, 
 	// caller, it degrades soundly instead.
 	cfg.Budget = pip.BudgetFromContext(ctx, budget)
 
-	m, err := parseModule(req)
-	if err != nil {
-		return pip.BatchResult{}, cfg, err
+	ptrs := q["ptr"]
+	var m *pip.Module
+	if req.MIR == "" || req.C != "" || len(ptrs) > 0 {
+		if m, err = parseModule(req); err != nil {
+			return pip.BatchResult{}, cfg, err
+		}
 	}
 	// Attach the solve to a request-scoped trace lane. The -trace file
 	// recorder (opts.Trace) keeps precedence when configured — its captured
@@ -248,14 +254,19 @@ func (s *Server) analyze(r *http.Request, req *moduleRequest) (pip.BatchResult, 
 	} else if rt != nil {
 		lane = rt.lane
 	}
-	ptrs := q["ptr"]
 	var res pip.BatchResult
 	var solveSpan obs.Span
 	if rt != nil {
 		solveSpan = rt.lane.Begin("solve", obs.S("config", cfg.String()))
 	}
 	solveStart := time.Now()
-	if len(ptrs) > 0 {
+	switch {
+	case m == nil:
+		if res, err = s.eng.AnalyzeIR(req.MIR, cfg, s.opts.Summaries, lane); err != nil {
+			solveSpan.End()
+			return pip.BatchResult{}, cfg, badRequestf("module: %v", err)
+		}
+	case len(ptrs) > 0:
 		// Demand mode. Root names are validated first so a bad name is the
 		// client's 400, not an analysis failure.
 		if _, _, err := pip.DemandRoots(m, s.opts.Summaries, ptrs); err != nil {
@@ -264,12 +275,13 @@ func (s *Server) analyze(r *http.Request, req *moduleRequest) (pip.BatchResult, 
 		}
 		s.demandReqs.Add(1)
 		res, err = s.eng.AnalyzeDemand(m, cfg, s.opts.Summaries, ptrs)
-	} else {
+	default:
 		res = s.eng.AnalyzeTraced(m, cfg, s.opts.Summaries, lane)
 	}
 	s.solveLatency.Observe(time.Since(solveStart).Seconds())
 	solveSpan.End(
 		obs.N("cache_hit", b2i(res.CacheHit)),
+		obs.N("raw", b2i(res.RawHit)),
 		obs.N("disk_hit", b2i(res.DiskHit)),
 		obs.N("degraded", b2i(res.Degraded)))
 	if res.Err != nil {
@@ -562,6 +574,7 @@ func (s *Server) writeProm(w io.Writer) {
 	p.Gauge("pip_cache_entries", "Resident cached solutions.", float64(st.CacheEntries))
 	p.Gauge("pip_cache_capacity", "Configured cache bound (0 = unbounded).", float64(s.eng.CacheCap()))
 	p.Counter("pip_cache_hits_total", "Solves served from the solution cache.", float64(st.CacheHits))
+	p.Counter("pip_cache_raw_hits_total", "Cache hits answered by the raw MIR text alone, without parsing (also counted in pip_cache_hits_total).", float64(st.RawHits))
 	p.Counter("pip_cache_evictions_total", "Cached solutions dropped by the LRU bound.", float64(st.CacheEvictions))
 
 	// Persistent solution store (the disk tier under the memory LRU).

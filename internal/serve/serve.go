@@ -237,7 +237,6 @@ func New(opts Options) *Server {
 	// other through s, so both are wired after the struct exists and
 	// before any traffic.
 	s.shell.init("pipserve", opts.LogWriter, opts.FlightDir, opts.OnFlightDump, s.writeProm)
-	s.counted = s.countStatus
 	s.eng = pip.NewEngine(pip.BatchOptions{
 		Workers:        opts.Workers,
 		Cache:          true,
@@ -260,7 +259,7 @@ func New(opts Options) *Server {
 		s.faultMu.Unlock()
 	})
 	analysis := func(h http.HandlerFunc) http.HandlerFunc {
-		return s.traced(s.logged(s.breakered(s.recovered(s.admitted(h)))))
+		return s.traced(s.accounted(s.breakered(s.recovered(s.admitted(h)))))
 	}
 	s.mux.HandleFunc("POST /v1/solve", analysis(s.handleSolve))
 	s.mux.HandleFunc("POST /v1/alias", analysis(s.handleAlias))
@@ -356,12 +355,23 @@ func (s *Server) CloseStore() error { return s.eng.CloseStore() }
 // Draining reports whether Shutdown has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// logged wraps a handler with structured request logging.
-func (s *Server) logged(h http.HandlerFunc) http.HandlerFunc {
+// accounted logs each analysis request and feeds the server's request
+// counters from its outcome. Other responses never count: a /healthz
+// probe of a draining server is no failed request, an unknown trace ID
+// no bad one.
+func (s *Server) accounted(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		ow := outcomeOf(w)
 		h(ow, r)
+		switch {
+		case ow.status == http.StatusTooManyRequests:
+			// counted at the admission site
+		case ow.status >= 500:
+			s.failures.Add(1)
+		case ow.status >= 400:
+			s.badRequests.Add(1)
+		}
 		s.log.Info("request",
 			"method", r.Method,
 			"path", r.URL.Path,
@@ -549,9 +559,6 @@ type shell struct {
 	// metrics renders the owner's full Prometheus exposition, for GET
 	// /metrics and for every flight dump.
 	metrics func(io.Writer)
-	// counted, when set, sees the status of every JSON response (the
-	// server's request counters; the router counts at its own sites).
-	counted func(status int)
 }
 
 // init wires the shell. A flight dump embeds the owner's metrics scrape,
@@ -627,9 +634,6 @@ func (sh *shell) writeJSON(w http.ResponseWriter, status int, v any) {
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		sh.log.Error("encode response", "err", err)
 	}
-	if sh.counted != nil {
-		sh.counted(status)
-	}
 }
 
 type errorResponse struct {
@@ -647,16 +651,4 @@ func (sh *shell) writeAnalyzeError(w http.ResponseWriter, err error) {
 		return
 	}
 	sh.writeError(w, http.StatusInternalServerError, err.Error())
-}
-
-// countStatus feeds the server's request counters from every response.
-func (s *Server) countStatus(status int) {
-	switch {
-	case status == http.StatusTooManyRequests:
-		// counted at the admission site
-	case status >= 500:
-		s.failures.Add(1)
-	case status >= 400:
-		s.badRequests.Add(1)
-	}
 }

@@ -248,6 +248,10 @@ type BatchResult struct {
 	// from the engine's persistent store rather than solved — the
 	// warm-restart path. Disk hits are also CacheHits.
 	DiskHit bool
+	// RawHit reports that Engine.AnalyzeIR answered from the engine's
+	// memory tier by the MIR text alone, without parsing it. Raw hits are
+	// also CacheHits.
+	RawHit bool
 }
 
 // IncrementalStats reports which path an incremental re-analysis took
@@ -302,6 +306,20 @@ func (e *Engine) AnalyzeWithSummaries(m *Module, cfg Config, summaries map[strin
 // solve running on the shared engine.
 func (e *Engine) AnalyzeTraced(m *Module, cfg Config, summaries map[string]Summary, lane TraceLane) BatchResult {
 	return toBatchResult(m, e.eng.RunOne(engine.Job{Module: m, Config: cfg, Summaries: summaries, Trace: lane}))
+}
+
+// AnalyzeIR parses and analyzes MIR text on the shared engine, like
+// AnalyzeTraced on ParseIR's module, but parses only when it must: MIR
+// text the engine's memory tier has answered before under the same
+// effective configuration is answered without parsing
+// (BatchResult.RawHit). A text that does not parse is returned as err,
+// and in BatchResult.Err.
+func (e *Engine) AnalyzeIR(src string, cfg Config, summaries map[string]Summary, lane TraceLane) (BatchResult, error) {
+	r, err := e.eng.RunText(src, engine.Job{Config: cfg, Summaries: summaries, Trace: lane})
+	if err != nil {
+		return BatchResult{Err: err}, err
+	}
+	return toBatchResult(nil, r), nil
 }
 
 // AnalyzeBatch analyzes many independent modules concurrently across the
@@ -394,6 +412,7 @@ func toBatchResult(m *Module, r engine.Result) BatchResult {
 		Incremental: r.Incremental,
 		Demand:      r.DemandStats,
 		DiskHit:     r.DiskHit,
+		RawHit:      r.RawHit,
 	}
 }
 
